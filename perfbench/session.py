@@ -173,8 +173,7 @@ def run_session(spec, trace=False):
         engine = P.QueryEngine(kb)
         consistent = engine.completion.is_consistent
     setup_s = time.perf_counter() - t0
-    passes = spec["passes"]
-    attempted = 2 + passes * len(spec["lookups"]) + len(spec["extension"])
+    attempted = 2 + len(spec["lookups"]) + len(spec["extension"])
     if not consistent:      # no query can be answered, no model built
         return {"setup_s": setup_s, "attempted": attempted,
                 "failed": attempted, "invariants": [],
@@ -207,10 +206,10 @@ def run_session(spec, trace=False):
               "bytes": len(blob.encode())}
     del model, exported, blob
 
-    # 3. lookups, the batch repeated `passes` times: no query in it may
-    # start a saturation
-    calls = [_bind(q, kb, engine) for q in spec["lookups"]] * passes
-    queries = spec["lookups"] * passes
+    # 3. lookups, each asked once: no query in the batch may start a
+    # saturation
+    queries = spec["lookups"]
+    calls = [_bind(q, kb, engine) for q in queries]
     runs_before = engine.saturation_runs
     t0 = time.perf_counter()
     if tracer:

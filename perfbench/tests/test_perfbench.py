@@ -55,6 +55,32 @@ def test_generators_do_not_depend_on_the_hash_seed():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("name", W.WORKLOADS)
+def test_no_query_is_asked_twice(name):
+    """A session asks every query once, so an answer memo gains nothing
+    that a user's session would not."""
+    work = W.build(name, 11)
+    keys = [(q["kind"], tuple(q["args"]))
+            for q in work["lookups"] + work["extension"]]
+    assert len(set(keys)) == len(keys)
+
+
+def test_oracle_refuses_pairs_that_normality_could_relate():
+    a, b = W.atom("A"), W.atom("B")
+    box = lambda i, c: ("box", i, c)        # noqa: E731
+    dia = lambda i, c: ("dia", i, c)        # noqa: E731
+    oracle = W.Oracle()
+    with pytest.raises(ValueError):
+        oracle.leq(W.meet(box(1, a), box(1, b)), box(1, W.meet(a, b)))
+    with pytest.raises(ValueError):
+        oracle.leq(dia(2, W.join(a, b)), W.join(dia(2, a), dia(2, b)))
+    with pytest.raises(ValueError):     # inside a modal argument too
+        oracle.leq(dia(1, W.meet(box(1, a), box(1, b))), dia(1, a))
+    assert oracle.leq(W.meet(box(1, a), box(2, b)), box(1, a))
+    assert not oracle.leq(box(1, a), box(1, W.meet(a, b)))
+    assert oracle.leq(box(1, W.meet(a, b)), box(1, a))
+
+
 def _flip(expect):
     """A deliberately wrong answer for an expectation."""
     if isinstance(expect, bool):
@@ -113,7 +139,7 @@ def test_model_check_rejects_a_missing_fact(name):
 def _spec(tmp_path, work):
     kb = tmp_path / "kb.txt"
     kb.write_text(work["kb"])
-    return {"kb_path": str(kb), "lookups": work["lookups"], "passes": 1,
+    return {"kb_path": str(kb), "lookups": work["lookups"],
             "extension": work["extension"], "model_check": work["model_check"]}
 
 
@@ -171,8 +197,7 @@ def test_small_round_is_correct_and_quick(tmp_path, name, trace):
     r = run.one_round(paths, queries, run.child_env(), t0 + 60, trace)
     assert r["notes"] == [] and r["ok"] and r["failed"] == 0
     work = W.build(name, 6, **SMALL[name])
-    session_ops = 2 + work["passes"] * len(work["lookups"]) + \
-        len(work["extension"])
+    session_ops = 2 + len(work["lookups"]) + len(work["extension"])
     assert r["attempted"] == session_ops + len(queries)
     assert all(v > 0 for v in r["e2e"].values())
     if trace:

@@ -10,10 +10,12 @@ Expected answers never come from polardl.  They are either planted by
 construction (a bare feature that only one object reaches, twins that no
 negation mentions) or computed by ``Oracle``, a Whitman-style decision
 procedure for the free lattice with monotone box/dia operators, applied
-to the generator's own concept tuples.  The generators stay inside the
-fragment where that procedure is exact: every box and dia argument is an
-atom, so the normality identities (box distributes over meets, dia over
-joins) never relate two occurring concepts.
+to the generator's own concept tuples.  The calculus also knows that
+box_i distributes over meets and dia_i over joins, which that procedure
+does not; the two can differ on ``s <= t`` only where two different
+box_i terms meet on the left or two different dia_i terms join on the
+right.  ``Oracle.leq`` refuses such a pair, so a generator that leaves
+this fragment fails instead of planting a wrong answer.
 
 Concepts are tuples: ("atom", name), ("and", l, r), ("or", l, r),
 ("box", i, c), ("dia", i, c).  Facts are tuples: ("mem", ind, concept),
@@ -29,6 +31,7 @@ from __future__ import annotations
 import collections
 import random
 import shlex
+from itertools import product
 
 WORKLOADS = ("ladder", "wide", "omqa")
 
@@ -91,33 +94,61 @@ def substitute(c, target, replacement):
     return c
 
 
+def _one_per_role(c, op):
+    """Is at most one distinct ``op`` term per role index reachable from
+    ``c`` through meets and joins, and likewise inside every box and dia
+    argument?  On the left of ``<=`` for box and on the right for dia,
+    this keeps the normality identities (``box_i x and box_i y =
+    box_i (x and y)``, ``dia_i (x or y) = dia_i x or dia_i y``) from
+    relating the two sides."""
+    found = {}
+
+    def walk(x):
+        if x[0] in ("and", "or"):
+            return walk(x[1]) and walk(x[2])
+        if x[0] in ("box", "dia"):
+            if x[0] == op and found.setdefault(x[1], x) != x:
+                return False
+            return _one_per_role(x[2], op)
+        return True
+    return walk(c)
+
+
 class Oracle:
     """Decides ``s <= t`` in the free lattice over the atoms, extended by
-    monotone box/dia operators (Whitman's conditions)."""
+    monotone box/dia operators (Whitman's conditions).  Only pairs on
+    which normal operators would agree are decided."""
 
     def __init__(self):
         self._memo = {}
 
     def leq(self, s, t):
+        if not (_one_per_role(s, "box") and _one_per_role(t, "dia")):
+            raise ValueError(f"{render(s)} <= {render(t)}: normality could "
+                             f"relate the two sides")
+        return self._leq(s, t)
+
+    def _leq(self, s, t):
         key = (s, t)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = self._leq(s, t)
+            got = self._memo[key] = self._decide(s, t)
         return got
 
-    def _leq(self, s, t):
+    def _decide(self, s, t):
+        leq = self._leq
         if s == t:
             return True
         if s[0] == "or":
-            return self.leq(s[1], t) and self.leq(s[2], t)
+            return leq(s[1], t) and leq(s[2], t)
         if t[0] == "and":
-            return self.leq(s, t[1]) and self.leq(s, t[2])
-        if s[0] == "and" and (self.leq(s[1], t) or self.leq(s[2], t)):
+            return leq(s, t[1]) and leq(s, t[2])
+        if s[0] == "and" and (leq(s[1], t) or leq(s[2], t)):
             return True
-        if t[0] == "or" and (self.leq(s, t[1]) or self.leq(s, t[2])):
+        if t[0] == "or" and (leq(s, t[1]) or leq(s, t[2])):
             return True
         if s[0] in ("box", "dia") and s[0] == t[0] and s[1] == t[1]:
-            return self.leq(s[2], t[2])
+            return leq(s[2], t[2])
         return False
 
     def member(self, types, c):
@@ -260,12 +291,24 @@ def _sample(rng, items, k):
     return rng.sample(items, min(k, len(items)))
 
 
+def _distinct(k, draw):
+    """``k`` distinct results of ``draw()``, in the order drawn.  Only for
+    populations far larger than k."""
+    seen, out = set(), []
+    while len(out) < k:
+        x = draw()
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    return out
+
+
 def _workload(name, seed, kb, lookups, extension, facts, objects,
-              defined=(), passes=1):
-    """``passes``: how often a session repeats the lookup batch, so that
-    one timed batch lasts a few tenths of a second."""
+              defined=()):
+    keys = [(q["kind"], tuple(q["args"])) for q in lookups + extension]
+    assert len(set(keys)) == len(keys), f"{name}: a query is asked twice"
     return {"name": name, "seed": seed, "kb": kb, "lookups": lookups,
-            "passes": passes, "extension": extension,
+            "extension": extension,
             "model_check": _model_check(facts, set(objects), set(defined))}
 
 
@@ -328,8 +371,7 @@ def ladder(seed, n=LADDER_N):
         for c2 in concepts:
             lookups.append(query("subsume", [render(c1), render(c2)],
                                  oracle.leq(c1, c2)))
-    for _ in range(100):
-        f1, f2 = rng.sample(mems, 2)
+    for f1, f2 in _distinct(100, lambda: tuple(rng.sample(mems, 2))):
         lookups.append(query("disj", [term(f1[1], f1[2], objects),
                                       term(f2[1], f2[2], objects)], True))
     # list_related: every input partner of the anchor must be listed
@@ -388,20 +430,21 @@ def wide(seed, n=WIDE_N):
     for c in concepts:
         lookups.append(query("member", ["b", render(c)], True))
         lookups.append(query("member", ["c", render(c)], c == first))
-    for k in range(600):
-        c1 = rng.choice(concepts)
-        if k % 2:       # half the pairs drawn among c1's own subconcepts
-            c2 = rng.choice(sorted(subconcepts(c1), key=render))
-        else:
-            c2 = rng.choice(concepts)
+    # half the pairs among c1's own subconcepts, half among the rest
+    index = {c: k for k, c in enumerate(concepts)}
+    below = {(index[c1], index[c2]) for c1 in concepts
+             for c2 in subconcepts(c1)}
+    other = [p for p in product(range(len(concepts)), repeat=2)
+             if p not in below]
+    pairs = _sample(rng, sorted(below), 3000) + _sample(rng, other, 3000)
+    for c1, c2 in ((concepts[i], concepts[j]) for i, j in pairs):
         lookups.append(query("subsume", [render(c1), render(c2)],
                              atom_sets[c2] <= atom_sets[c1]))
-    for c in rng.sample(concepts, 9) + [first]:
+    for c in [first] + _sample(rng, concepts[1:], 99):
         lookups.append(query("list_members", [render(c), "extent"], {
             "exact": ["b", "c"] if c == first else ["b"]}))
-    for _ in range(50):
-        c1, c2 = rng.sample(concepts, 2)
-        who = rng.choice(["b", "c"])
+    for who, c1, c2 in _distinct(500, lambda: (rng.choice(["b", "c"]),
+                                               *rng.sample(concepts, 2))):
         lookups.append(query("disj", [term(who, c1, objects),
                                       term("c", c2, objects)],
                              who == "b" or first in (c1, c2)))
@@ -410,8 +453,7 @@ def wide(seed, n=WIDE_N):
     extension = [query("dif", ["b", "c", "I"], False),
                  query("neg_member", ["c", rng.choice(names[1:])], False)]
     kb = render_kb(["b", "c"], [], [], facts)
-    return _workload("wide", seed, kb, lookups, extension, facts, ["b", "c"],
-                     passes=10)
+    return _workload("wide", seed, kb, lookups, extension, facts, ["b", "c"])
 
 
 # -- omqa ----------------------------------------------------------------------------
@@ -536,13 +578,15 @@ def omqa(seed, n_obj=OMQA_OBJECTS, n_feat=OMQA_FEATURES):
     # negated memberships: not nm : N with the asserted type x not below
     # N.  The first two x lie below some other atom, so that folding
     # that atom into N clashes; some atom occurs in no x and no N, so
-    # that folding it clashes nowhere.
+    # that folding it clashes nowhere.  The four N differ, so that no
+    # negative subsumption below is asked twice.
     while True:
         negated = []
         while len(negated) < 4:
             x, n = rng.choice(names), rng.choice(atoms)
-            if oracle.leq(exp[x], n) or (len(negated) < 2 and not any(
-                    a != n and oracle.leq(exp[x], a) for a in atoms)):
+            if oracle.leq(exp[x], n) or n in (m for _, _, m in negated) or (
+                    len(negated) < 2 and not any(
+                        a != n and oracle.leq(exp[x], a) for a in atoms)):
                 continue
             negated.append((f"nm{len(negated)}", x, n))
         used = set().union(*(atoms_of(exp[x]) | {n[1]} for _, x, n in negated))
@@ -595,52 +639,46 @@ def omqa(seed, n_obj=OMQA_OBJECTS, n_feat=OMQA_FEATURES):
             if ("I", o, f) not in facts:
                 (shared if is_member(o, ftypes[f][0])
                  else unrelated).append((o, f))
-    for o, f in _sample(rng, shared, 100) + _sample(rng, unrelated, 100):
+    for o, f in _sample(rng, shared, 600) + _sample(rng, unrelated, 600):
         lookups.append(query("rel", [o, "I", f], (o, f) in shared))
-    for _ in range(50):     # a bare feature is reached only by its planted fact
-        sa, sb, sz = rng.choice(pairs)
-        who = rng.choice(objs + [sb])
+    # a bare feature is reached only by its planted fact
+    bare = [(who, sz) for sa, sb, sz in pairs for who in objs + [sb]]
+    for who, sz in _sample(rng, bare, 200):
         lookups.append(query("rel", [who, "I", sz], False))
     for k in range(2):
-        lookups.append(query("rel", [f"rp{k}", "Rbox1", f"rz{k}"], True))
-        lookups.append(query("rel", [rng.choice(objs), "Rbox1", f"rz{k}"], False))
+        for o in _sample(rng, objs, 10):
+            lookups.append(query("rel", [o, "Rbox1", f"rz{k}"], False))
 
-    for k in range(800):
-        o = rng.choice(all_objs)
-        if k % 2:
-            cands = [c for c in qnames if is_member(o, c)]
-            c = rng.choice(cands)
-        else:
-            c = rng.choice(qnames)
+    members, non_members = [], []
+    for o in all_objs:
+        for c in qnames:
+            (members if is_member(o, c) else non_members).append((o, c))
+    for o, c in _sample(rng, members, 700) + _sample(rng, non_members, 2500):
         lookups.append(query("member", [o, render(c)], is_member(o, c)))
-    for k in range(600):
-        c1 = rng.choice(qnames)
-        if k % 3 == 0:
-            c2 = rng.choice([c for c in qnames if oracle.leq(exp[c1], exp[c])])
-        else:
-            c2 = rng.choice(qnames)
-        lookups.append(query("subsume", [render(c1), render(c2)],
-                             oracle.leq(exp[c1], exp[c2])))
-    for _ in range(200):
-        picks = [(rng.choice(all_objs), rng.choice(qnames)) for _ in range(2)]
+    for c1 in qnames:
+        for c2 in qnames:
+            lookups.append(query("subsume", [render(c1), render(c2)],
+                                 oracle.leq(exp[c1], exp[c2])))
+    for picks in _distinct(800, lambda: tuple(
+            (rng.choice(all_objs), rng.choice(qnames)) for _ in range(2))):
         lookups.append(query("disj", [term(o, c, objects) for o, c in picks],
                              any(is_member(o, c) for o, c in picks)))
     negatives = [rel_args(f[1]) for f in sorted(facts)
                  if f[0] == "not" and f[1][0] != "mem"]
-    for _ in range(50):
-        lookups.append(query("neg_rel", rng.choice(negatives), True))
-    for _ in range(150):
-        f = rng.choice(positive_rels) if rng.random() < 0.5 else \
-            ("I", rng.choice(objs), rng.choice(feats))
+    for args in negatives:
+        lookups.append(query("neg_rel", args, True))
+    for f in _sample(rng, positive_rels, 300):
         lookups.append(query("neg_rel", rel_args(f), False))
+    for o, f in _sample(rng, shared + unrelated, 300):
+        lookups.append(query("neg_rel", [o, "I", f], False))
 
     partners = {}
     for f in positive_rels:
         a = rel_args(f)
         partners.setdefault((a[0], a[1], "right"), set()).add(a[2])
         partners.setdefault((a[2], a[1], "left"), set()).add(a[0])
-    for key in _sample(rng, sorted(k for k in partners if k[0] in objs), 20) + \
-            _sample(rng, sorted(k for k in partners if k[0] in feats), 34):
+    for key in _sample(rng, sorted(k for k in partners if k[0] in objs), 80) + \
+            _sample(rng, sorted(k for k in partners if k[0] in feats), 154):
         lookups.append(query("list_related", list(key),
                              {"includes": sorted(partners[key])}))
     for sa, sb, sz in pairs:
@@ -648,10 +686,9 @@ def omqa(seed, n_obj=OMQA_OBJECTS, n_feat=OMQA_FEATURES):
     for k in range(2):
         lookups.append(query("list_related", [f"rz{k}", "Rbox1", "left"],
                              {"exact": [f"rp{k}"]}))
-    for c in _sample(rng, qnames, 20):
+    for c in qnames:
         lookups.append(query("list_members", [render(c), "extent"], {
             "exact": sorted(o for o in all_objs if is_member(o, c))}))
-    for c in _sample(rng, qnames, 20):
         lookups.append(query("list_members", [render(c), "intent"], {
             "exact": sorted(f for f in all_feats if is_feat_member(f, c))}))
     rng.shuffle(lookups)
@@ -707,7 +744,7 @@ def omqa(seed, n_obj=OMQA_OBJECTS, n_feat=OMQA_FEATURES):
     ]
     kb = render_kb(all_objs, all_feats, tbox, facts)
     return _workload("omqa", seed, kb, lookups, extension, facts, all_objs,
-                     raw, passes=4)
+                     raw)
 
 
 def build(name, seed, **sizes):
