@@ -13,27 +13,30 @@ is
 
 * one fresh interpreter running ``session.py``: set-up, the model
   export, the lookup batch and the extension batch, every answer checked;
-* one ``python3 -m polardl.cli ask KB --batch FILE --format json``
-  subprocess over the same queries, its output checked line by line and
-  its peak memory read from that child alone with ``os.wait4``.
+* one ``polardl.cli ask KB --batch FILE --format json`` subprocess over
+  the lookups (``cli_child.py``, which runs the CLI as ``-m`` does under
+  the speed sampler), its output checked line by line and its peak
+  memory read from that child alone with ``os.wait4``.
 
-Processes run one at a time; nothing here starts a thread.  ``setup_s``,
-``peak_rss_mb`` and every per-layer figure are the median over the run's
-rounds; the other end-to-end figures are the run's best round (see
-``BEST_ROUND``).  The last line of stdout is one
+Processes run one at a time; nothing here starts a thread.  Every figure
+is the median over the run's rounds.  The last line of stdout is one
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``:
 the end-to-end metrics with ``--trace 0``, the per-layer metrics with
 ``--trace 1``.  A traced run also writes its spans to
 ``perfbench/out/trace-<workload>-<seed>.json``.
 
-End-to-end metrics (``--trace 0``):
+End-to-end metrics (``--trace 0``), times in reference seconds (see
+``speed.py``: wall time scaled by the machine's speed, sampled every
+10 ms while each timed step runs):
 
     setup_s      KB text to a decided completion, in a fresh process
-    lookup_qps   lookup batch size over its wall time
-    extension_s  wall time of the extension batch
+    lookup_qps   lookup batch size over its time
+    extension_s  time of the extension batch
     model_s      first build_model + model_to_dict + JSON encoding
-    cli_batch_s  wall time of the CLI batch subprocess
+    cli_batch_s  time of the CLI batch subprocess, spawn to exit
     peak_rss_mb  peak resident memory of that subprocess
+
+The wall times of each round go to stderr.
 """
 
 from __future__ import annotations
@@ -48,24 +51,20 @@ import subprocess
 import sys
 import time
 
+import speed
 import workloads as W
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
 SESSION = os.path.join(HERE, "session.py")
+CLI_CHILD = os.path.join(HERE, "cli_child.py")
 # The longest one round may take: a run that has not ended this long
 # after its --seconds is a failed run, not a slow one.
 ROUND_LIMIT_S = 100.0
 
 END_TO_END = {"setup_s": "s", "lookup_qps": "queries/s", "extension_s": "s",
               "model_s": "s", "cli_batch_s": "s", "peak_rss_mb": "MB"}
-# How a run's rounds combine into one figure.  Other tenants of a shared
-# machine only ever slow a round down, and the median round follows the
-# machine's speed drift over the minute; the best round follows the
-# program.  Set-up time and memory report the median round.
-BEST_ROUND = {"lookup_qps": max, "extension_s": min, "model_s": min,
-              "cli_batch_s": min}
 # first matching suffix wins
 PER_LAYER_UNITS = {"facts_per_s": "facts/s", "_s": "s", "_us": "us",
                    "_bytes": "bytes"}
@@ -140,6 +139,20 @@ def check_cli(path, queries, code):
     return failed, notes
 
 
+def pin_to_one_cpu():
+    """Keep this process and its children on one CPU.
+
+    How fast a CPU runs depends on what shares its core, and that
+    differs between CPUs, so a process the scheduler moves changes speed
+    between two speed samples.  The parent only waits while a child
+    runs, so the two do not compete.
+    """
+    try:
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    except (AttributeError, OSError):
+        pass
+
+
 def child_env():
     """Environment for the children: this checkout's sources first."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -154,10 +167,12 @@ def prepare(workload, seed, out=OUT, **sizes):
     paths = {k: os.path.join(wdir, n) for k, n in (
         ("kb", "kb.txt"), ("batch", "queries.txt"), ("spec", "spec.json"),
         ("session", "session.out"), ("cli", "cli.out"),
-        ("startup", "startup.out"))}
+        ("startup", "startup.out"), ("samples", "cli-samples.json"))}
     with open(paths["kb"], "w", encoding="utf-8") as fh:
         fh.write(work["kb"])
-    queries = work["lookups"] + work["extension"]
+    # the CLI batch holds the lookups: extension_s already times the
+    # extension queries, which would double a round's length here
+    queries = work["lookups"]
     with open(paths["batch"], "w", encoding="utf-8") as fh:
         fh.write("".join(W.cli_line(q) + "\n" for q in queries))
     spec = {"kb_path": paths["kb"], "lookups": work["lookups"],
@@ -188,10 +203,20 @@ def one_round(paths, queries, env, deadline, trace):
             env, deadline)
         if code != 0:
             raise RuntimeError("importing polardl.cli failed")
-    argv = [sys.executable, "-m", "polardl.cli", "ask", paths["kb"],
-            "--batch", paths["batch"], "--format", "json"]
+    args = ["ask", paths["kb"], "--batch", paths["batch"], "--format", "json"]
+    if trace:
+        argv = [sys.executable, "-m", "polardl.cli"] + args
+    else:       # the same CLI, under a speed sampler
+        argv = [sys.executable, CLI_CHILD, paths["samples"]] + args
     code, cli_s, rss_mb, _ = run_child(argv, paths["cli"], env, deadline)
     cli_failed, cli_notes = check_cli(paths["cli"], queries, code)
+    if not trace:
+        with open(paths["samples"], encoding="utf-8") as fh:
+            samples = json.load(fh)
+        print("wall: " + json.dumps(dict(session["wall"], cli=cli_s)),
+              file=sys.stderr)
+        cli_s = ((cli_s - samples["spent"]) * speed.REFERENCE_PROBE_S
+                 * samples["rate"])
     r.update(cli_batch_s=cli_s, peak_rss_mb=rss_mb)
     failures = session["failures"] + cli_notes
     round_ = {"e2e": r, "attempted": session["attempted"] + len(queries),
@@ -233,6 +258,7 @@ def main(argv=None):
               f"of a polardl checkout", file=sys.stderr)
         return 2
     env = child_env()
+    pin_to_one_cpu()
     start = time.monotonic()
     deadline = start + args.seconds + ROUND_LIMIT_S
     wdir, paths, queries = prepare(args.workload, args.seed)
@@ -263,9 +289,8 @@ def main(argv=None):
             json.dump([{"round": i, "e2e": r["e2e"], "layers": r["layers"],
                         "spans": r["spans"]} for i, r in enumerate(rounds)], fh)
     else:
-        metrics = {k: {"value": BEST_ROUND.get(k, statistics.median)(
-                           [r["e2e"][k] for r in rounds]), "unit": unit}
-                   for k, unit in END_TO_END.items()}
+        metrics = {k: {"value": statistics.median(r["e2e"][k] for r in rounds),
+                       "unit": unit} for k, unit in END_TO_END.items()}
     for i, r in enumerate(rounds):
         print(f"round {i}: " + " ".join(f"{k}={v:.6g}" for k, v in r["e2e"].items()),
               file=sys.stderr)

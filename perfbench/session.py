@@ -15,8 +15,9 @@ Every answer is checked against its expected value.  The result is one
 JSON object on stdout.  With ``--trace`` each call into a polardl layer
 is recorded as a span and ``polardl.tableaux.saturate`` is wrapped so
 that saturations become child spans of the query that started them; the
-spans and the per-layer figures are part of the result.  Without it no
-wrapper is installed.
+spans and the per-layer figures are part of the result, and every time
+is wall time.  Without it no wrapper is installed, and each step is
+timed in reference seconds by ``speed.Meter``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import statistics
 import sys
 import time
 
+import speed
 import workloads as W
 
 import polardl as P
@@ -141,6 +143,10 @@ def check_model(exported, want):
     return problems
 
 
+def _ask(calls):
+    return [fn(*args) for fn, args in calls]
+
+
 def _median(xs):
     return statistics.median(xs) if xs else 0.0
 
@@ -152,6 +158,11 @@ def run_session(spec, trace=False):
     tracer = Tracer() if trace else None
     if tracer:
         tracer.wrap_saturate()
+        call = tracer.call
+    else:
+        call = lambda name, fn, *args: fn(*args)        # noqa: E731
+    # the traced run reports wall times and takes no speed samples
+    meter = speed.Meter(calibrate=not tracer)
     failures = []
 
     def note(problem):
@@ -159,44 +170,29 @@ def run_session(spec, trace=False):
             failures.append(problem)
 
     # 1. set-up
-    t0 = time.perf_counter()
-    if tracer:
-        setup = tracer.open("session.setup")
-        kb = tracer.call("parser.parse_kb", P.parse_kb, text)
-        engine = tracer.call("tbox.unravel", P.QueryEngine, kb)
-        completion = tracer.call("tableaux.completion",
-                                 lambda: engine.completion)
-        consistent = completion.is_consistent
-        tracer.close(setup)
-    else:
-        kb = P.parse_kb(text)
-        engine = P.QueryEngine(kb)
-        consistent = engine.completion.is_consistent
-    setup_s = time.perf_counter() - t0
+    def setup():
+        kb = call("parser.parse_kb", P.parse_kb, text)
+        engine = call("tbox.unravel", P.QueryEngine, kb)
+        call("tableaux.completion", lambda: engine.completion)
+        return kb, engine
+    kb, engine = meter.run("setup", call, "session.setup", setup)
     attempted = 2 + len(spec["lookups"]) + len(spec["extension"])
-    if not consistent:      # no query can be answered, no model built
-        return {"setup_s": setup_s, "attempted": attempted,
+    if not engine.completion.is_consistent:     # no query can be answered
+        meter.stop()
+        return {"setup_s": meter.reference["setup"], "attempted": attempted,
                 "failed": attempted, "invariants": [],
                 "failures": ["the knowledge base came out inconsistent"]}
     failed = 0
     invariants = []
 
     # 2. model export, where `polardl model` pays it: right after set-up
-    t0 = time.perf_counter()
-    if tracer:
-        span = tracer.open("session.model")
-        model = tracer.call("model.build_model", P.build_model,
-                            engine.completion)
-        exported = tracer.call("model.model_to_dict", P.model_to_dict, model)
-        blob = tracer.call("model.json", lambda: json.dumps(
+    def export():
+        model = call("model.build_model", P.build_model, engine.completion)
+        exported = call("model.model_to_dict", P.model_to_dict, model)
+        blob = call("model.json", lambda: json.dumps(
             dict(exported, command="model"), sort_keys=True, indent=2))
-        tracer.close(span)
-    else:
-        model = P.build_model(engine.completion)
-        exported = P.model_to_dict(model)
-        blob = json.dumps(dict(exported, command="model"), sort_keys=True,
-                          indent=2)
-    model_s = time.perf_counter() - t0
+        return model, exported, blob
+    model, exported, blob = meter.run("model", call, "session.model", export)
     problems = check_model(exported, spec["model_check"])
     if problems:
         failed += 1
@@ -207,50 +203,35 @@ def run_session(spec, trace=False):
     del model, exported, blob
 
     # 3. lookups, each asked once: no query in the batch may start a
-    # saturation
-    queries = spec["lookups"]
-    calls = [_bind(q, kb, engine) for q in queries]
+    # saturation.  4. extension queries, each saturating again.
+    batches = {}
+    for name in ("lookups", "extension"):
+        batches[name] = [_bind(q, kb, engine) for q in spec[name]]
+        if tracer:
+            batches[name] = [(call, ("queries." + q["kind"], fn) + args)
+                             for q, (fn, args) in zip(spec[name], batches[name])]
     runs_before = engine.saturation_runs
-    t0 = time.perf_counter()
-    if tracer:
-        batch = tracer.open("session.lookups")
-        answers = [tracer.call("queries." + q["kind"], fn, *args)
-                   for q, (fn, args) in zip(queries, calls)]
-        tracer.close(batch)
-    else:
-        answers = [fn(*args) for fn, args in calls]
-    lookup_s = time.perf_counter() - t0
-    if engine.saturation_runs != runs_before:
-        invariants.append(f"the lookup batch started "
-                          f"{engine.saturation_runs - runs_before} saturations")
-    for q, ans in zip(queries, answers):
-        if not W.answer_ok(q["expect"], ans.value):
-            failed += 1
-            note(f"{q['kind']} {q['args']}: got {ans.value!r}, "
-                 f"expected {q['expect']!r}")
-
-    # 4. extension queries
-    calls = [_bind(q, kb, engine) for q in spec["extension"]]
-    t0 = time.perf_counter()
-    if tracer:
-        batch = tracer.open("session.extension")
-        answers = [tracer.call("queries." + q["kind"], fn, *args)
-                   for q, (fn, args) in zip(spec["extension"], calls)]
-        tracer.close(batch)
-    else:
-        answers = [fn(*args) for fn, args in calls]
-    extension_s = time.perf_counter() - t0
-    for q, ans in zip(spec["extension"], answers):
-        if not W.answer_ok(q["expect"], ans.value):
-            failed += 1
-            note(f"{q['kind']} {q['args']}: got {ans.value!r}, "
-                 f"expected {q['expect']!r}")
+    for name in ("lookups", "extension"):
+        answers = meter.run(name, call, "session." + name, _ask, batches[name])
+        if name == "lookups" and engine.saturation_runs != runs_before:
+            invariants.append(f"the lookup batch started "
+                              f"{engine.saturation_runs - runs_before} "
+                              f"saturations")
+        for q, ans in zip(spec[name], answers):
+            if not W.answer_ok(q["expect"], ans.value):
+                failed += 1
+                note(f"{q['kind']} {q['args']}: got {ans.value!r}, "
+                     f"expected {q['expect']!r}")
     runs = engine.saturation_runs
+    meter.stop()
 
     result = {
-        "setup_s": setup_s, "lookup_s": lookup_s,
-        "lookups": len(queries), "extension_s": extension_s,
-        "model_s": model_s,
+        "setup_s": meter.reference["setup"],
+        "model_s": meter.reference["model"],
+        "lookup_s": meter.reference["lookups"],
+        "lookups": len(spec["lookups"]),
+        "extension_s": meter.reference["extension"],
+        "wall": meter.wall,
         "attempted": attempted, "failed": failed, "failures": failures,
         "invariants": invariants,
     }

@@ -8,6 +8,7 @@ Run from the root of the checkout:
 import collections
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
 import polardl as P          # noqa: E402
 import run                   # noqa: E402
 import session               # noqa: E402
+import speed                 # noqa: E402
 import workloads as W        # noqa: E402
 
 SMALL = {"ladder": {"n": 300}, "wide": {"n": 12},
@@ -158,6 +160,32 @@ def test_session_counts_wrong_answers_and_fresh_saturations(tmp_path):
     # batch holding one breaks the batch's invariant
     spec["lookups"] = [W.query("member", ["b", "D0 or D1"], True)]
     assert session.run_session(spec)["invariants"]
+
+
+def test_sampler_scales_busy_time_by_the_probe_rate():
+    sampler = speed.Sampler()
+    full = 1 / speed.REFERENCE_PROBE_S
+    sampler.rates = [full] * 5 + [full / 2] * 10
+    # the probe ran at half its reference rate: 2.5 s of wall time, less
+    # 0.5 s spent sampling, is one reference second
+    assert sampler.reference(2.5, (5, 0.0), (15, 0.5)) == pytest.approx(1.0)
+    # a step with too few samples of its own takes the latest ones
+    assert sampler.reference(1.0, (15, 0.5), (15, 0.5)) == pytest.approx(0.5)
+
+
+def test_meter_times_each_step_and_stops_its_timer():
+    meter = speed.Meter()
+    try:
+        out = meter.run("spin", lambda n: sum(range(n)), 2_000_000)
+    finally:
+        meter.stop()
+    assert out == sum(range(2_000_000))
+    assert len(meter.sampler.rates) > speed.MIN_SAMPLES
+    assert 0 < meter.reference["spin"] and 0 < meter.wall["spin"]
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    untimed = speed.Meter(calibrate=False)
+    assert untimed.run("abs", abs, -1) == 1
+    assert untimed.reference == untimed.wall
 
 
 def test_session_reports_an_inconsistent_kb(tmp_path):

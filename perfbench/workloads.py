@@ -303,6 +303,18 @@ def _distinct(k, draw):
     return out
 
 
+def _deck(rng, names):
+    """A draw of one name at a time, each name once per shuffled pass, so
+    that every name ends up with about the same number of facts."""
+    deck = []
+
+    def draw():
+        if not deck:
+            deck.extend(rng.sample(names, len(names)))
+        return deck.pop()
+    return draw
+
+
 def _workload(name, seed, kb, lookups, extension, facts, objects,
               defined=()):
     keys = [(q["kind"], tuple(q["args"])) for q in lookups + extension]
@@ -314,7 +326,7 @@ def _workload(name, seed, kb, lookups, extension, facts, objects,
 
 # -- ladder ------------------------------------------------------------------------
 
-LADDER_N = 2560
+LADDER_N = 1920
 
 
 def ladder(seed, n=LADDER_N):
@@ -336,20 +348,21 @@ def ladder(seed, n=LADDER_N):
     # seed draws which names each assertion relates.
     facts, order = set(), []
     step = 0
+    obj, feat = _deck(rng, objs), _deck(rng, feats)
     while len(facts) < n:
         k, c = step % 5, pool[(step // 5) % len(pool)]
         i = 1 + (step // 5) % 2
         step += 1
         if k == 0:
-            f = ("mem", rng.choice(objs), c)
+            f = ("mem", obj(), c)
         elif k == 1:
-            f = ("mem", rng.choice(feats), c)
+            f = ("mem", feat(), c)
         elif k == 2:
-            f = ("I", rng.choice(objs), rng.choice(feats))
+            f = ("I", obj(), feat())
         elif k == 3:
-            f = ("box", i, rng.choice(objs), rng.choice(feats))
+            f = ("box", i, obj(), feat())
         else:
-            f = ("dia", i, rng.choice(feats), rng.choice(objs))
+            f = ("dia", i, feat(), obj())
         if f not in facts:
             facts.add(f)
             order.append(f)
