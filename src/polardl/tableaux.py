@@ -325,10 +325,13 @@ class _Saturation:
         self.worklist = deque()
 
         self.occurring = S.occurring_concepts(self.inputs)
+        # `occurring` iterates in id-hash order; every walk over it goes
+        # through this list so that the completion order follows the input
+        self.occurring_sorted = sorted(self.occurring, key=str)
         self.abox_depth = S.abox_depths(self.inputs)
         self.meet_partners: dict = {}   # operand -> [(meet, other operand)]
         self.join_partners: dict = {}
-        for c in self.occurring:
+        for c in self.occurring_sorted:
             if c.kind == S.MEET:
                 self.meet_partners.setdefault(c.left, []).append((c, c.right))
                 if c.right is not c.left:
@@ -540,7 +543,7 @@ class _Saturation:
 
         for a in sorted(self.inputs, key=str):
             self.add(a, "input", ())
-        for c in sorted(self.occurring, key=str):
+        for c in self.occurring_sorted:
             a_c, x_c = fresh_names(c)
             self.add(S.member(a_c, c), "create", ())
             self.add(S.member(x_c, c), "create", ())

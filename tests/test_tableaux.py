@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -289,3 +293,26 @@ class TestDeterminism:
         c2 = P.check_consistency(abox)
         assert [str(a) for a in c1.assertions] == [str(a) for a in c2.assertions]
         assert c1.stats == c2.stats
+
+    def test_trace_bytes_do_not_follow_memory_layout(self, tmp_path):
+        # D is an operand of six occurring meets, so and_inv's partner list
+        # decides the order in which b's meets are added.  Each interpreter
+        # builds the meets in another order before parsing, which places
+        # them at other addresses; all must print one trace.
+        kb = tmp_path / "meets.kb"
+        kb.write_text("obj b. feat y.\nb : D.\n"
+                      + "".join(f"b : E{k}.\ny :: D and E{k}.\n"
+                                for k in range(1, 7)))
+        script = ("import sys\n"
+                  "import polardl as P, polardl.cli\n"
+                  "first = [P.meet(P.atom('D'), P.atom('E' + k))\n"
+                  "         for k in sys.argv[1]]\n"
+                  "P.cli.main(['trace', sys.argv[2]])\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(P.__file__).parents[1]))
+        traces = {subprocess.run([sys.executable, "-c", script, order,
+                                  str(kb)], capture_output=True, env=env,
+                                 check=True).stdout
+                  for order in ("123456", "654321", "315264")}
+        assert len(traces) == 1
+        assert traces.pop().count(b'"and_inv"') == 6
