@@ -23,9 +23,7 @@ from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
 from .tbox import rewrite_gci, check_acyclic, unravel, definition_map
 from .tableaux import (RuleSet, BASE_RULES, Completion, saturate,
                        check_consistency, add_extra_rule, fresh_names,
-                       ObjectInclusionRule, FeatureInclusionRule,
-                       ObjectRoleInclusionRule, FeatureRoleInclusionRule,
-                       RelationInclusionRule)
+                       CopyRule, RelationInclusionRule)
 from .model import (Polarity, Model, build_model, galois_up, galois_down,
                     interpret_concept, check_satisfies, check_i_compatibility,
                     bounded_model_search, enumerate_formal_concepts,

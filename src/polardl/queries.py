@@ -312,24 +312,13 @@ class QueryEngine:
 
     # -- separation / differentiation / identity ---------------------------------
 
-    def _separation_rules(self, first: S.Individual, second: S.Individual,
+    @staticmethod
+    def _separation_rules(first: S.Individual, second: S.Individual,
                           role: Role, both: bool):
-        if role.kind == "I":
-            ctor = (T.ObjectInclusionRule if first.sort == S.OBJ
-                    else T.FeatureInclusionRule)
-            rules = [ctor(first, second)]
-            if both:
-                rules.append(ctor(second, first))
-        else:
-            ctor = (T.ObjectRoleInclusionRule if first.sort == S.OBJ
-                    else T.FeatureRoleInclusionRule)
-            rules = [ctor(role, first, second)]
-            if both:
-                rules.append(ctor(role, second, first))
-        rs = T.BASE_RULES
-        for r in rules:
-            rs = T.add_extra_rule(rs, r)
-        return rs
+        rules = T.add_extra_rule(T.BASE_RULES, T.CopyRule(role, first, second))
+        if both:
+            rules = T.add_extra_rule(rules, T.CopyRule(role, second, first))
+        return rules
 
     def ask_separation(self, first: S.Individual, second: S.Individual,
                        role: Role = Role("I")) -> Answer:

@@ -39,9 +39,22 @@ match classifier names only, so every name triggers exactly the rules
 of its normal form.
 
 Extra rules fold a universal axiom into saturation; consistency of the
-extended set decides the corresponding separation query.  Negative
-assertions never match a positive premise: they only feed neg_b/neg_x
-and clash detection.
+extended set decides the corresponding separation query.  There are two
+forms.  Each has a trigger key (fact kind, role index, individual) and a
+``conclude(fact)``; a positive relational fact fires the rules keyed by
+its kind, its index and either of its ends, through one dict compiled
+when saturation starts.
+
+    CopyRule(R, s, d), s and d of one sort; key (R, s):
+        a fact of s under R           =>  the same fact with d for s
+        label SA(s,d) / SX(s,d) for R = I, else SA[R](s,d) / SX[R](s,d)
+    RelationInclusionRule(L, R, p); key (L, p):
+        b Rboxi y,  b = p             =>  y Rdiaj b  or  b I y
+        y Rdiai b,  y = p             =>  b Rboxj y  or  b I y
+        label SA(L,R,p) for an object pivot, SX(L,R,p) for a feature
+
+Negative assertions never match a positive premise: they only feed
+neg_b/neg_x and clash detection.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (ResourceLimitError, UnknownIndividualError,
                      UnsupportedRuleError)
@@ -60,59 +74,34 @@ from .syntax import Role
 # Extra (separation) rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObjectInclusionRule:
-    """From ``src I x`` infer ``dst I x`` (axiom: every feature of src is
-    a feature of dst)."""
-    src: S.Individual
-    dst: S.Individual
-
-    @property
-    def label(self):
-        return f"SA({self.src},{self.dst})"
-
-    def individuals(self):
-        return (self.src, self.dst)
+_FACT_KIND = {"I": S.REL_I, "box": S.REL_BOX, "dia": S.REL_DIA}
 
 
 @dataclass(frozen=True)
-class FeatureInclusionRule:
-    """From ``a I src`` infer ``a I dst``."""
-    src: S.Individual
-    dst: S.Individual
-
-    @property
-    def label(self):
-        return f"SX({self.src},{self.dst})"
-
-    def individuals(self):
-        return (self.src, self.dst)
-
-
-@dataclass(frozen=True)
-class ObjectRoleInclusionRule:
-    """Per-role analogue of ObjectInclusionRule at a box or dia role."""
+class CopyRule:
+    """From every ``role`` fact of src infer the same fact of dst (axiom:
+    every role-partner of src is one of dst).  src and dst share a sort,
+    and dst takes src's place in the fact: ``src Rboxi y`` gives
+    ``dst Rboxi y`` for objects, ``b I src`` gives ``b I dst`` for
+    features."""
     role: Role
     src: S.Individual
     dst: S.Individual
 
     @property
     def label(self):
-        return f"SA[{self.role}]({self.src},{self.dst})"
-
-    def individuals(self):
-        return (self.src, self.dst)
-
-
-@dataclass(frozen=True)
-class FeatureRoleInclusionRule:
-    role: Role
-    src: S.Individual
-    dst: S.Individual
+        tag = "SA" if self.src.sort == S.OBJ else "SX"
+        at = "" if self.role.kind == "I" else f"[{self.role}]"
+        return f"{tag}{at}({self.src},{self.dst})"
 
     @property
-    def label(self):
-        return f"SX[{self.role}]({self.src},{self.dst})"
+    def trigger(self):
+        return (_FACT_KIND[self.role.kind], self.role.index, self.src)
+
+    def conclude(self, a: S.Assertion) -> S.Assertion:
+        if a.left is self.src:
+            return S.rel(self.role, self.dst, a.right)
+        return S.rel(self.role, a.left, self.dst)
 
     def individuals(self):
         return (self.src, self.dst)
@@ -127,8 +116,8 @@ class RelationInclusionRule:
     terminating expansion and are rejected.
 
     The crossing directions (box->dia, dia->box) do not keep the
-    box/dia shape invariant checked by ``_Saturation._check_shape``: a
-    dia fact ``y Rdiai a[diai C]`` at the pivot concludes
+    box/dia shape invariant reported by ``Completion.invariant_violations``:
+    a dia fact ``y Rdiai a[diai C]`` at the pivot concludes
     ``a[diai C] Rboxj y``, a dia-image heading a box-role fact (and
     mirrored for box->dia).  The ->I directions keep it.
     """
@@ -141,13 +130,19 @@ class RelationInclusionRule:
         tag = "SA" if self.pivot.sort == S.OBJ else "SX"
         return f"{tag}({self.lhs},{self.rhs},{self.pivot})"
 
+    @property
+    def trigger(self):
+        return (_FACT_KIND[self.lhs.kind], self.lhs.index, self.pivot)
+
+    def conclude(self, a: S.Assertion) -> S.Assertion:
+        # the pivot heads the premise: b Rboxi y or y Rdiai b
+        b, y = (a.left, a.right) if a.kind == S.REL_BOX else (a.right, a.left)
+        if self.rhs.kind == "dia":
+            return S.rel(self.rhs, y, b)
+        return S.rel(self.rhs, b, y)
+
     def individuals(self):
         return (self.pivot,)
-
-
-EXTRA_RULE_TYPES = (ObjectInclusionRule, FeatureInclusionRule,
-                    ObjectRoleInclusionRule, FeatureRoleInclusionRule,
-                    RelationInclusionRule)
 
 
 @dataclass(frozen=True)
@@ -155,19 +150,17 @@ class RuleSet:
     """The base expansion rules plus zero or more extra rules."""
     extras: tuple = ()
 
-    @property
-    def has_relation_inclusion(self):
-        return any(isinstance(r, RelationInclusionRule) for r in self.extras)
-
 
 BASE_RULES = RuleSet()
 
 
 def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
     """Validated, functional extension of a rule set."""
-    if not isinstance(extra, EXTRA_RULE_TYPES):
-        raise UnsupportedRuleError(f"unknown extra rule {extra!r}")
-    if isinstance(extra, RelationInclusionRule):
+    if isinstance(extra, CopyRule):
+        if extra.src.sort != extra.dst.sort:
+            raise UnsupportedRuleError(
+                f"copy rule {extra.label} relates individuals of two sorts")
+    elif isinstance(extra, RelationInclusionRule):
         if extra.lhs.kind == "I":
             raise UnsupportedRuleError(
                 "inclusions of I into a box or dia role may not terminate")
@@ -177,10 +170,8 @@ def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
         else:
             if extra.rhs.kind not in ("box", "I") or extra.pivot.sort != S.FEAT:
                 raise UnsupportedRuleError(f"unsupported direction {extra.label}")
-    if isinstance(extra, (ObjectRoleInclusionRule, FeatureRoleInclusionRule)):
-        if extra.role.kind == "I":
-            raise UnsupportedRuleError(
-                "use ObjectInclusionRule/FeatureInclusionRule for I")
+    else:
+        raise UnsupportedRuleError(f"unknown extra rule {extra!r}")
     return RuleSet(rules.extras + (extra,))
 
 
@@ -203,7 +194,6 @@ class Completion:
     provenance: dict                  # assertion -> (rule label, premises)
     clash: tuple | None               # (positive term, its negation)
     stats: dict                       # rule label -> additions
-    invariant_violations: tuple
     occurring: frozenset              # concepts occurring in the input
     abox_depth: S.DepthProfile
     rules: RuleSet
@@ -245,6 +235,30 @@ class Completion:
                     seen[ind] = None
             self._index[key] = frozenset(seen)
         return self._index[key]
+
+    @cached_property
+    def invariant_violations(self) -> tuple:
+        """One message per positive fact whose shape mixes the box and dia
+        images, in completion order: a dia-image I a box-image, or a
+        dia-image (box-image) heading a box-role (dia-role) fact.
+
+        Saturation under the base rules, the copy rules and the role-into-I
+        inclusions derives none of these; a crossing relation inclusion
+        breaks this by construction (see RelationInclusionRule).
+        """
+        out = []
+        for a in self.assertions:
+            if a.kind == S.REL_I:
+                if (S.dia_adjoint_view(a.left) is not None
+                        and S.box_adjoint_view(a.right) is not None):
+                    out.append(f"dia-image I box-image: {a}")
+            elif a.kind == S.REL_BOX:
+                if S.dia_adjoint_view(a.left) is not None:
+                    out.append(f"dia-image heads a box-role fact: {a}")
+            elif a.kind == S.REL_DIA:
+                if S.box_adjoint_view(a.left) is not None:
+                    out.append(f"box-image heads a dia-role fact: {a}")
+        return tuple(out)
 
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
@@ -321,7 +335,6 @@ class _Saturation:
         self.dia_mem: dict = {}      # child C -> {(i, y): None}
         self.clash = None
         self.stats: dict = {}
-        self.violations: list = []
         self.worklist = deque()
 
         self.occurring = S.occurring_concepts(self.inputs)
@@ -341,17 +354,10 @@ class _Saturation:
                 if c.right is not c.left:
                     self.join_partners.setdefault(c.right, []).append((c, c.left))
 
-        self.obj_incl: dict = {}     # src -> [(dst, label)]
-        self.feat_incl: dict = {}
-        self.role_incl_box: dict = {}   # (i, pivot or src) handled per kind
+        self.extra_rules: dict = {}  # trigger -> [(conclude, label)]
         for extra in rules.extras:
-            if isinstance(extra, ObjectInclusionRule):
-                self.obj_incl.setdefault(extra.src, []).append(
-                    (extra.dst, extra.label))
-            elif isinstance(extra, FeatureInclusionRule):
-                self.feat_incl.setdefault(extra.src, []).append(
-                    (extra.dst, extra.label))
-        self.extras = rules.extras
+            self.extra_rules.setdefault(extra.trigger, []).append(
+                (extra.conclude, extra.label))
 
     # -- store primitives ---------------------------------------------------
 
@@ -373,23 +379,7 @@ class _Saturation:
                 hit = self.neg_relational.get(a)
                 if hit is not None:
                     self.clash = (a, hit)
-            self._check_shape(a)
             self._index_positive(a)
-
-    def _check_shape(self, a: S.Assertion):
-        # Box/diamond derivations stay disjoint under the base rules, the
-        # copy rules and the role-into-I inclusions: a diamond image never
-        # meets a box image through I, never heads a box-role fact, and the
-        # adjoint constructors never stack over the opposite image.  A
-        # crossing (box<->dia) relation inclusion breaks this by
-        # construction; see RelationInclusionRule.
-        if a.kind == S.REL_I:
-            if (S.dia_adjoint_view(a.left) is not None
-                    and S.box_adjoint_view(a.right) is not None):
-                self.violations.append(f"dia-image I box-image: {a}")
-        elif a.kind == S.REL_BOX:
-            if S.dia_adjoint_view(a.left) is not None:
-                self.violations.append(f"dia-image heads a box-role fact: {a}")
 
     def _index_positive(self, a: S.Assertion):
         if a.kind == S.MEM_OBJ:
@@ -469,58 +459,28 @@ class _Saturation:
             self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
         elif b.kind == S.BLACK_DIA:
             self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
-        for dst, label in self.obj_incl.get(b, ()):
-            self.add(S.rel_i(dst, y), label, (a,))
-        for dst, label in self.feat_incl.get(y, ()):
-            self.add(S.rel_i(b, dst), label, (a,))
+        if self.extra_rules:
+            self.fire_extras(a)
 
     def fire_box_fact(self, a):
         i, b, y = a.index, a.left, a.right
-        if S.dia_adjoint_view(b) is not None:
-            self.violations.append(
-                f"black diamond built over a dia-image: bdia{i}({b})")
         self.add(S.rel_i(S.black_diamond(b, i), y), "adj_box", (a,))
         self.add(S.rel_i(b, S.adj_box(y, i)), "adj_box", (a,))
-        for extra in self.extras:
-            if isinstance(extra, RelationInclusionRule) and \
-                    extra.lhs.kind == "box" and extra.lhs.index == i and \
-                    extra.pivot is b:
-                if extra.rhs.kind == "dia":
-                    self.add(S.rel_dia(extra.rhs.index, y, b), extra.label, (a,))
-                else:
-                    self.add(S.rel_i(b, y), extra.label, (a,))
-            elif isinstance(extra, ObjectRoleInclusionRule) and \
-                    extra.role.kind == "box" and extra.role.index == i and \
-                    extra.src is b:
-                self.add(S.rel_box(i, extra.dst, y), extra.label, (a,))
-            elif isinstance(extra, FeatureRoleInclusionRule) and \
-                    extra.role.kind == "box" and extra.role.index == i and \
-                    extra.src is y:
-                self.add(S.rel_box(i, b, extra.dst), extra.label, (a,))
+        if self.extra_rules:
+            self.fire_extras(a)
 
     def fire_dia_fact(self, a):
         i, y, b = a.index, a.left, a.right
-        if S.box_adjoint_view(y) is not None:
-            self.violations.append(
-                f"black square built over a box-image: bsq{i}({y})")
         self.add(S.rel_i(S.adj_diamond(b, i), y), "adj_dia", (a,))
         self.add(S.rel_i(b, S.black_square(y, i)), "adj_dia", (a,))
-        for extra in self.extras:
-            if isinstance(extra, RelationInclusionRule) and \
-                    extra.lhs.kind == "dia" and extra.lhs.index == i and \
-                    extra.pivot is y:
-                if extra.rhs.kind == "box":
-                    self.add(S.rel_box(extra.rhs.index, b, y), extra.label, (a,))
-                else:
-                    self.add(S.rel_i(b, y), extra.label, (a,))
-            elif isinstance(extra, ObjectRoleInclusionRule) and \
-                    extra.role.kind == "dia" and extra.role.index == i and \
-                    extra.src is b:
-                self.add(S.rel_dia(i, y, extra.dst), extra.label, (a,))
-            elif isinstance(extra, FeatureRoleInclusionRule) and \
-                    extra.role.kind == "dia" and extra.role.index == i and \
-                    extra.src is y:
-                self.add(S.rel_dia(i, extra.dst, b), extra.label, (a,))
+        if self.extra_rules:
+            self.fire_extras(a)
+
+    def fire_extras(self, a):
+        for end in (a.left, a.right):
+            for conclude, label in self.extra_rules.get(
+                    (a.kind, a.index, end), ()):
+                self.add(conclude(a), label, (a,))
 
     def fire_negative(self, a):
         t = a.inner
@@ -535,7 +495,7 @@ class _Saturation:
 
     def run(self) -> Completion:
         present = S.individuals_in(self.inputs)
-        for extra in self.extras:
+        for extra in self.rules.extras:
             for ind in extra.individuals():
                 if ind not in present:
                     raise UnknownIndividualError(
@@ -569,7 +529,6 @@ class _Saturation:
             provenance=self.store,
             clash=self.clash,
             stats=self.stats,
-            invariant_violations=tuple(self.violations),
             occurring=self.occurring,
             abox_depth=self.abox_depth,
             rules=self.rules,

@@ -99,10 +99,10 @@ def sample_extras(rng, abox, *, relation_rules=True):
     extras = []
     if len(objs) >= 2:
         first, second = rng.sample(objs, 2)
-        extras.append(P.ObjectInclusionRule(first, second))
+        extras.append(P.CopyRule(P.Role("I"), first, second))
     if len(feats) >= 2:
         first, second = rng.sample(feats, 2)
-        extras.append(P.FeatureInclusionRule(first, second))
+        extras.append(P.CopyRule(P.Role("I"), first, second))
     if relation_rules and objs:
         extras.append(P.RelationInclusionRule(
             P.Role("box", 1),

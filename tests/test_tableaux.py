@@ -15,8 +15,9 @@ import fuzz
 import movie_data
 
 b, d = P.named_obj("b"), P.named_obj("d")
-y = P.named_feat("y")
+y, z = P.named_feat("y"), P.named_feat("z")
 D, E = P.atom("D"), P.atom("E")
+I = P.Role("I")
 
 
 class TestBasics:
@@ -119,7 +120,7 @@ class TestRuleMechanics:
 
 class TestExtraRules:
     def test_unknown_individual(self):
-        rules = P.add_extra_rule(P.BASE_RULES, P.ObjectInclusionRule(b, d))
+        rules = P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, d))
         with pytest.raises(UnknownIndividualError):
             P.saturate({P.member(b, D)}, rules)
 
@@ -131,9 +132,43 @@ class TestExtraRules:
             P.add_extra_rule(P.BASE_RULES, P.RelationInclusionRule(
                 P.Role("dia", 1), P.Role("box", 1), b))   # pivot must be a feature
 
+    @pytest.mark.parametrize("role, sort, label", [
+        ("I", S.OBJ, "SA(b,d)"),
+        ("I", S.FEAT, "SX(y,z)"),
+        ("Rbox1", S.OBJ, "SA[Rbox1](b,d)"),
+        ("Rbox1", S.FEAT, "SX[Rbox1](y,z)"),
+        ("Rdia1", S.OBJ, "SA[Rdia1](b,d)"),
+        ("Rdia1", S.FEAT, "SX[Rdia1](y,z)"),
+    ])
+    def test_copy_rule(self, role, sort, label):
+        role = P.Role.parse(role)
+
+        def fact(obj, feat):
+            if role.kind == "dia":
+                return P.rel(role, feat, obj)
+            return P.rel(role, obj, feat)
+
+        premise = fact(b, y)
+        if sort == S.OBJ:
+            rule, copied = P.CopyRule(role, b, d), fact(d, y)
+        else:
+            rule, copied = P.CopyRule(role, y, z), fact(b, z)
+        run = P.saturate({premise, P.rel_i(d, z)},
+                         P.add_extra_rule(P.BASE_RULES, rule))
+        assert run.is_consistent
+        assert rule.label == label
+        assert run.provenance[copied] == (label, (premise,))
+        assert run.stats[label] == 1
+
+    def test_cross_sort_copy_rule_is_rejected(self):
+        with pytest.raises(UnsupportedRuleError):
+            P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, y))
+        with pytest.raises(UnsupportedRuleError):
+            P.add_extra_rule(P.BASE_RULES, P.CopyRule(P.Role("box", 1), y, b))
+
     def test_self_copy_is_inert(self):
         abox = {P.member(b, D), P.rel_i(b, y)}
-        rules = P.add_extra_rule(P.BASE_RULES, P.ObjectInclusionRule(b, b))
+        rules = P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, b))
         plain = P.check_consistency(abox)
         copied = P.saturate(abox, rules)
         assert set(copied.assertions) == set(plain.assertions)
@@ -143,7 +178,7 @@ class TestExtraRules:
         abox = P.unravel(movies_kb)
         m2, m4 = P.named_obj("m2"), P.named_obj("m4")
         rules = P.BASE_RULES
-        for r in (P.ObjectInclusionRule(m4, m2), P.ObjectInclusionRule(m2, m4)):
+        for r in (P.CopyRule(I, m4, m2), P.CopyRule(I, m2, m4)):
             rules = P.add_extra_rule(rules, r)
         comp = P.saturate(abox, rules)
         assert not comp.is_consistent
@@ -273,7 +308,7 @@ class TestInvariants:
                 continue
             src, dst = rng.sample(objs, 2)
             rules = P.add_extra_rule(P.BASE_RULES,
-                                     P.ObjectInclusionRule(src, dst))
+                                     P.CopyRule(I, src, dst))
             run = P.saturate(abox, rules)
             if not run.is_consistent:
                 continue
