@@ -22,15 +22,21 @@ import sys
 from .errors import PolardlError
 from .parser import (parse_concept, parse_individual, parse_kb, parse_term,
                      KnowledgeBase)
-from .queries import QueryEngine
+from .queries import QueryEngine, _steps_payload
 from .model import build_model, model_to_csv, model_to_dict
 from .syntax import Role
 from . import syntax as S
 
 
-def _arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="polardl",
-                                 description="lattice description logic reasoner")
+class _LineParser(argparse.ArgumentParser):
+    """Raises on a bad --batch line instead of exiting the process."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _arg_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    ap = cls(prog="polardl", description="lattice description logic reasoner")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -96,6 +102,10 @@ def _steps_lines(steps):
             f"=> {s['added']}" for i, s in enumerate(steps)]
 
 
+def _error_payload(exc) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _cmd_check(args) -> int:
     kb = _load(args.kb)
     engine = QueryEngine(kb, max_steps=args.max_steps)
@@ -113,8 +123,7 @@ def _cmd_check(args) -> int:
              f"completion size: {payload['completion_size']}"]
     if comp.clash is not None:
         term, negation = comp.clash
-        steps = [{"rule": r, "premises": [str(p) for p in prem],
-                  "added": str(c)} for r, prem, c in comp.clash_certificate()]
+        steps = _steps_payload(comp.clash_certificate())
         payload["clash"] = {"term": str(term), "negation": str(negation),
                             "steps": steps}
         lines.append(f"clash: {term} vs {negation}")
@@ -122,8 +131,7 @@ def _cmd_check(args) -> int:
     else:
         payload["clash"] = None
     if args.trace:
-        payload["trace"] = [{"rule": r, "premises": [str(p) for p in prem],
-                             "added": str(c)} for r, prem, c in comp.steps()]
+        payload["trace"] = _steps_payload(comp.steps())
     _emit(payload, args.format, lines)
     return 0 if comp.is_consistent else 1
 
@@ -224,16 +232,24 @@ def _cmd_ask(args) -> int:
     kb = _load(args.kb)
     engine = QueryEngine(kb, max_steps=args.max_steps)
     if args.batch:
-        ap = _arg_parser()
+        # a bad line gets an error record and the batch goes on; exit 2
+        # when any line failed
+        ap = _arg_parser(_LineParser)
         with open(args.batch, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh
                      if ln.strip() and not ln.strip().startswith("#")]
+        failed = False
         for line in lines:
-            sub = ap.parse_args(["ask", args.kb] + shlex.split(line))
-            sub.format = args.format
-            payload = _run_ask_query(sub, kb, engine)
+            try:
+                sub = ap.parse_args(["ask", args.kb] + shlex.split(line))
+                sub.format = args.format
+                payload = _run_ask_query(sub, kb, engine)
+            except (PolardlError, ValueError, argparse.ArgumentError) as exc:
+                failed = True
+                payload = _error_payload(exc)
+                print(f"error: {line}: {exc}", file=sys.stderr)
             print(json.dumps(payload, sort_keys=True))
-        return 0
+        return 2 if failed else 0
     payload = _run_ask_query(args, kb, engine)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -266,10 +282,8 @@ def _cmd_model(args) -> int:
 def _cmd_trace(args) -> int:
     kb = _load(args.kb)
     engine = QueryEngine(kb, max_steps=args.max_steps)
-    for rule, premises, conclusion in engine.completion.steps():
-        print(json.dumps({"rule": rule,
-                          "premises": [str(p) for p in premises],
-                          "added": str(conclusion)}, sort_keys=True))
+    for step in _steps_payload(engine.completion.steps()):
+        print(json.dumps(step, sort_keys=True))
     return 0
 
 
@@ -285,8 +299,7 @@ def main(argv=None) -> int:
         return _cmd_trace(args)
     except (PolardlError, OSError) as exc:
         if getattr(args, "format", "text") == "json":
-            print(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}, sort_keys=True))
+            print(json.dumps(_error_payload(exc), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

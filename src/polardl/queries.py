@@ -43,6 +43,20 @@ def _steps_payload(steps):
             for rule, premises, conclusion in steps]
 
 
+def _clash_answer(run) -> Answer:
+    """True with the clash derivation when the run clashed, else False."""
+    if run.is_consistent:
+        return Answer(False, {"kind": "no-clash"})
+    return Answer(True, {"kind": "clash",
+                         "steps": _steps_payload(run.clash_certificate())})
+
+
+def _fact_answer(fact, present) -> Answer:
+    return Answer(present, {"kind": "facts",
+                            "facts": [str(fact)] if present else [],
+                            "absent": None if present else str(fact)})
+
+
 class QueryEngine:
     """Answers queries against one knowledge base (or raw assertion set)."""
 
@@ -136,10 +150,7 @@ class QueryEngine:
         self._known(lhs)
         self._known(rhs)
         fact = S.rel(role, lhs, rhs)
-        present = fact in self.completion
-        cert = {"kind": "facts", "facts": [str(fact)] if present else [],
-                "absent": None if present else str(fact)}
-        return Answer(present, cert)
+        return _fact_answer(fact, fact in self.completion)
 
     def list_related(self, anchor: S.Individual, role: Role,
                      side: str = "right", *,
@@ -167,10 +178,7 @@ class QueryEngine:
         run = self._completion_with_concepts([c])
         a_c, x_c = T.fresh_names(c)
         fact = S.rel_i(ind, x_c) if ind.sort == S.OBJ else S.rel_i(a_c, ind)
-        present = fact in run
-        cert = {"kind": "facts", "facts": [str(fact)] if present else [],
-                "absent": None if present else str(fact)}
-        return Answer(present, cert)
+        return _fact_answer(fact, fact in run)
 
     def list_members(self, c: S.Concept, side: str = "extent", *,
                      include_synthetic: bool = False) -> Answer:
@@ -197,10 +205,7 @@ class QueryEngine:
         a_c1, _ = T.fresh_names(c1)
         _, x_c2 = T.fresh_names(c2)
         fact = S.rel_i(a_c1, x_c2)
-        present = fact in run
-        cert = {"kind": "facts", "facts": [str(fact)] if present else [],
-                "absent": None if present else str(fact)}
-        return Answer(present, cert)
+        return _fact_answer(fact, fact in run)
 
     def ask_disjunctive(self, terms) -> Answer:
         """Disjunction of positive queries: true iff some disjunct is
@@ -237,10 +242,7 @@ class QueryEngine:
             raise UnsupportedQueryError("expected a relational term")
         for ind in t.individuals():
             self._known(ind)
-        hit = S.neg(t) in self.abox
-        return Answer(hit, {"kind": "facts",
-                            "facts": [str(S.neg(t))] if hit else [],
-                            "absent": None if hit else str(S.neg(t))})
+        return _fact_answer(S.neg(t), S.neg(t) in self.abox)
 
     def ask_negative_membership(self, ind: S.Individual,
                                 c: S.Concept) -> Answer:
@@ -248,11 +250,8 @@ class QueryEngine:
         consistency of the extension."""
         self._require_consistent()
         self._known(ind)
-        run = self._saturate(self.abox | {S.member(ind, self._expand(c))})
-        if run.is_consistent:
-            return Answer(False, {"kind": "no-clash"})
-        return Answer(True, {"kind": "clash",
-                             "steps": _steps_payload(run.clash_certificate())})
+        return _clash_answer(
+            self._saturate(self.abox | {S.member(ind, self._expand(c))}))
 
     def ask_negative_subsumption(self, c1: S.Concept,
                                  c2: S.Concept) -> Answer:
@@ -278,11 +277,7 @@ class QueryEngine:
                      for a in self.abox}
         a_r, x_r = T.fresh_names(replacement)
         rewritten |= {S.member(a_r, replacement), S.member(x_r, replacement)}
-        run = self._saturate(rewritten)
-        if run.is_consistent:
-            return Answer(False, {"kind": "no-clash"})
-        return Answer(True, {"kind": "clash",
-                             "steps": _steps_payload(run.clash_certificate())})
+        return _clash_answer(self._saturate(rewritten))
 
     @staticmethod
     def _replace_in_assertion(a, target, replacement):
@@ -330,12 +325,8 @@ class QueryEngine:
         self._known(second)
         if first.sort != second.sort:
             raise UnsupportedQueryError("separation compares same-sort names")
-        run = self._saturate(self.abox,
-                             self._separation_rules(first, second, role, False))
-        if run.is_consistent:
-            return Answer(False, {"kind": "no-clash"})
-        return Answer(True, {"kind": "clash",
-                             "steps": _steps_payload(run.clash_certificate())})
+        return _clash_answer(self._saturate(
+            self.abox, self._separation_rules(first, second, role, False)))
 
     def ask_relation_separation(self, lhs: Role, rhs: Role,
                                 pivot: S.Individual) -> Answer:
@@ -343,13 +334,9 @@ class QueryEngine:
         rhs-role counterpart provably fails?"""
         self._require_consistent()
         self._known(pivot)
-        rule = T.RelationInclusionRule(lhs, rhs, pivot)
-        rs = T.add_extra_rule(T.BASE_RULES, rule)
-        run = self._saturate(self.abox, rs)
-        if run.is_consistent:
-            return Answer(False, {"kind": "no-clash"})
-        return Answer(True, {"kind": "clash",
-                             "steps": _steps_payload(run.clash_certificate())})
+        rules = T.add_extra_rule(T.BASE_RULES,
+                                 T.RelationInclusionRule(lhs, rhs, pivot))
+        return _clash_answer(self._saturate(self.abox, rules))
 
     def ask_differentiation(self, first: S.Individual, second: S.Individual,
                             role: Role = Role("I")) -> Answer:
@@ -364,12 +351,8 @@ class QueryEngine:
         if first.sort != second.sort:
             raise UnsupportedQueryError(
                 "differentiation compares same-sort names")
-        run = self._saturate(self.abox,
-                             self._separation_rules(first, second, role, True))
-        if run.is_consistent:
-            return Answer(False, {"kind": "no-clash"})
-        return Answer(True, {"kind": "clash",
-                             "steps": _steps_payload(run.clash_certificate())})
+        return _clash_answer(self._saturate(
+            self.abox, self._separation_rules(first, second, role, True)))
 
     def ask_identity(self, first: S.Individual,
                      second: S.Individual) -> Answer:

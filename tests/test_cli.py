@@ -134,6 +134,25 @@ class TestAsk:
         assert [d["answer"] for d in docs] == [["f4", "f6"], False, True]
 
 
+    @pytest.mark.parametrize("bad, error", [
+        ("--member m4 'box1 DM", "ValueError"),         # unbalanced quote
+        ("--bogus m1", "ArgumentError"),                # unknown flag
+        ("--rel zz I f3", "ParseError"),                # undeclared name
+    ])
+    def test_batch_goes_on_after_a_bad_line(self, tmp_path, bad, error):
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"--list-related m3 I\n{bad}\n--dif m2 m4\n")
+        code, out, err = run_cli("ask", MOVIES, "--batch", str(batch))
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert len(docs) == 3
+        assert docs[0]["answer"] == ["f4", "f6"]
+        assert docs[1]["error"]["type"] == error
+        assert docs[1]["error"]["message"]
+        assert docs[2]["answer"] is True
+        assert bad in err
+
+
 class TestModelAndTrace:
     def test_model_json(self):
         code, out, _ = run_cli("model", MOVIES, "--format", "json")
