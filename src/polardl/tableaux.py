@@ -263,15 +263,10 @@ class Completion:
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
         (n, anchor) fact (side 'left') for the given role."""
+        kind, index = _FACT_KIND[role.kind], role.index
         out = []
         for a in self.assertions:
-            if a.kind == S.REL_I and role.kind == "I":
-                pass
-            elif a.kind == S.REL_BOX and role.kind == "box" and a.index == role.index:
-                pass
-            elif a.kind == S.REL_DIA and role.kind == "dia" and a.index == role.index:
-                pass
-            else:
+            if a.kind != kind or a.index != index:
                 continue
             if side == "right" and a.left is anchor:
                 out.append(a.right)
