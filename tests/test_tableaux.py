@@ -267,7 +267,10 @@ class TestInvariants:
             shape,
             P.rel_i(a_d, P.adj_box(y, 1)),
             P.rel_dia(1, P.adj_box(y, 1), P.classifier_obj(D))]
-        assert run.invariant_violations
+        assert run.invariant_violations == (
+            "dia-image heads a box-role fact: a[dia1 D] Rbox1 y",
+            "dia-image I box-image: a[dia1 D] I box1(y)",
+            "box-image heads a dia-role fact: box1(y) Rdia1 a[D]")
         self._assert_into_i_derives_no_shape(abox, "dia", y)
 
     def test_crossing_box_into_dia_derives_a_shape(self):
@@ -290,7 +293,10 @@ class TestInvariants:
             shape,
             P.rel_i(P.adj_diamond(b, 1), x_d),
             P.rel_box(1, P.adj_diamond(b, 1), P.classifier_feat(D))]
-        assert run.invariant_violations
+        assert run.invariant_violations == (
+            "box-image heads a dia-role fact: x[box1 D] Rdia1 b",
+            "dia-image I box-image: dia1(b) I x[box1 D]",
+            "dia-image heads a box-role fact: dia1(b) Rbox1 x[D]")
         self._assert_into_i_derives_no_shape(abox, "box", b)
 
     def test_movie_base_run_has_no_shape_violations(self, movie_table_completion):
