@@ -29,7 +29,11 @@ from . import syntax as S
 
 
 class _LineParser(argparse.ArgumentParser):
-    """Raises on a bad --batch line instead of exiting the process."""
+    """Parses one --batch line: a bad line, -h included, raises instead of
+    printing to stdout or exiting the process."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
@@ -136,15 +140,11 @@ def _cmd_check(args) -> int:
     return 0 if comp.is_consistent else 1
 
 
-def _parse_role(text: str) -> Role:
-    return Role.parse(text)
-
-
 def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
     side = args.side
     if args.rel:
         lhs = parse_individual(args.rel[0], kb)
-        role = _parse_role(args.rel[1])
+        role = Role.parse(args.rel[1])
         rhs = parse_individual(args.rel[2], kb)
         if args.neg:
             ans = engine.ask_negative_relational(S.rel(role, lhs, rhs))
@@ -155,7 +155,7 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
             query = {"type": "relational", "term": str(S.rel(role, lhs, rhs))}
     elif args.list_related:
         anchor = parse_individual(args.list_related[0], kb)
-        role = _parse_role(args.list_related[1])
+        role = Role.parse(args.list_related[1])
         ans = engine.list_related(anchor, role, side or "right",
                                   include_synthetic=args.include_synthetic)
         query = {"type": "list-related", "anchor": str(anchor),
@@ -191,15 +191,15 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
         ans = engine.ask_disjunctive(terms)
         query = {"type": "disjunctive", "terms": [str(t) for t in terms]}
     elif args.sep:
-        role = _parse_role(args.sep[0])
+        role = Role.parse(args.sep[0])
         first = parse_individual(args.sep[1], kb)
         second = parse_individual(args.sep[2], kb)
         ans = engine.ask_separation(first, second, role)
         query = {"type": "separation", "role": str(role),
                  "first": str(first), "second": str(second)}
     elif args.sep_rel:
-        lhs = _parse_role(args.sep_rel[0])
-        rhs = _parse_role(args.sep_rel[1])
+        lhs = Role.parse(args.sep_rel[0])
+        rhs = Role.parse(args.sep_rel[1])
         pivot = parse_individual(args.sep_rel[2], kb)
         ans = engine.ask_relation_separation(lhs, rhs, pivot)
         query = {"type": "relation-separation", "lhs": str(lhs),
@@ -207,7 +207,7 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
     elif args.dif:
         first = parse_individual(args.dif[0], kb)
         second = parse_individual(args.dif[1], kb)
-        ans = engine.ask_differentiation(first, second, _parse_role(args.role))
+        ans = engine.ask_differentiation(first, second, Role.parse(args.role))
         query = {"type": "differentiation", "first": str(first),
                  "second": str(second), "role": args.role}
     elif args.identity:

@@ -64,22 +64,22 @@ def _names(abox, sort):
 def main():
     corpus = fuzz.consistent_corpus(CORPUS_SEED, CORPUS_SIZE)
     rng = random.Random(CORPUS_SEED + 2)
-    label = [None]
-    count = [0]
+    label = None        # (abox number, run name) of the next saturation
+    count = 0
     inner = T.saturate
 
     def recording(assertions, rules=T.BASE_RULES, **kwargs):
+        nonlocal count
         comp = inner(assertions, rules, **kwargs)
-        n, what = label[0]
-        print(n, what.replace(" ", ""), *_line(comp))
-        count[0] += 1
+        print(label[0], label[1].replace(" ", ""), *_line(comp))
+        count += 1
         return comp
 
     T.saturate = recording
     try:
         for n, (abox, _) in enumerate(corpus):
             engine = P.QueryEngine(abox)
-            label[0] = (n, "base")
+            label = (n, "base")
             engine.completion
             box_is, dia_is = engine._role_indices()
             roles = ([P.Role("I")] + [P.Role("box", i) for i in box_is]
@@ -89,9 +89,9 @@ def main():
                      if len(names) >= 2]
             for first, second in pairs:
                 for role in roles:
-                    label[0] = (n, f"sep:{role}:{first}:{second}")
+                    label = (n, f"sep:{role}:{first}:{second}")
                     engine.ask_separation(first, second, role)
-                label[0] = (n, f"ident:{first}:{second}")
+                label = (n, f"ident:{first}:{second}")
                 engine.ask_identity(first, second)
             for lhs, rhss, sort in (("box", ("I", "dia"), S.OBJ),
                                     ("dia", ("I", "box"), S.FEAT)):
@@ -99,18 +99,18 @@ def main():
                 for rhs, pivot in ((r, p) for r in rhss for p in pivots):
                     lrole = P.Role(lhs, 1)
                     rrole = P.Role("I") if rhs == "I" else P.Role(rhs, 1)
-                    label[0] = (n, f"seprel:{lrole}:{rrole}:{pivot}")
+                    label = (n, f"seprel:{lrole}:{rrole}:{pivot}")
                     engine.ask_relation_separation(lrole, rrole, pivot)
             extras = fuzz.sample_extras(rng, abox)
             rules = P.BASE_RULES
             for r in extras:
                 rules = P.add_extra_rule(rules, r)
-            label[0] = (n, "extras:" + ",".join(r.label for r in extras))
+            label = (n, "extras:" + ",".join(r.label for r in extras))
             T.saturate(abox, rules, max_steps=1_000_000)
     finally:
         T.saturate = inner
 
-    print("runs", count[0], file=sys.stderr)
+    print("runs", count, file=sys.stderr)
 
 
 if __name__ == "__main__":

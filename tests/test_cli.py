@@ -138,6 +138,7 @@ class TestAsk:
         ("--member m4 'box1 DM", "ValueError"),         # unbalanced quote
         ("--bogus m1", "ArgumentError"),                # unknown flag
         ("--rel zz I f3", "ParseError"),                # undeclared name
+        ("--dif m2 m4 -h", "ArgumentError"),            # help request
     ])
     def test_batch_goes_on_after_a_bad_line(self, tmp_path, bad, error):
         batch = tmp_path / "queries.txt"
