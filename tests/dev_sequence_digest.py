@@ -39,6 +39,7 @@ import fuzz
 
 CORPUS_SEED = 20240811       # as in test_acceptance.py
 CORPUS_SIZE = 1000
+I, BOX1, DIA1 = P.Role("I"), P.Role("box", 1), P.Role("dia", 1)
 
 
 def _digest(lines):
@@ -82,7 +83,7 @@ def main():
             label = (n, "base")
             engine.completion
             box_is, dia_is = engine._role_indices()
-            roles = ([P.Role("I")] + [P.Role("box", i) for i in box_is]
+            roles = ([I] + [P.Role("box", i) for i in box_is]
                      + [P.Role("dia", i) for i in dia_is])
             pairs = [names[:2] for names in (_names(abox, S.OBJ),
                                              _names(abox, S.FEAT))
@@ -93,14 +94,12 @@ def main():
                     engine.ask_separation(first, second, role)
                 label = (n, f"ident:{first}:{second}")
                 engine.ask_identity(first, second)
-            for lhs, rhss, sort in (("box", ("I", "dia"), S.OBJ),
-                                    ("dia", ("I", "box"), S.FEAT)):
-                pivots = _names(abox, sort)[:1]
-                for rhs, pivot in ((r, p) for r in rhss for p in pivots):
-                    lrole = P.Role(lhs, 1)
-                    rrole = P.Role("I") if rhs == "I" else P.Role(rhs, 1)
-                    label = (n, f"seprel:{lrole}:{rrole}:{pivot}")
-                    engine.ask_relation_separation(lrole, rrole, pivot)
+            for lhs, rhss, sort in ((BOX1, (I, DIA1), S.OBJ),
+                                    (DIA1, (I, BOX1), S.FEAT)):
+                for pivot in _names(abox, sort)[:1]:
+                    for rhs in rhss:
+                        label = (n, f"seprel:{lhs}:{rhs}:{pivot}")
+                        engine.ask_relation_separation(lhs, rhs, pivot)
             extras = fuzz.sample_extras(rng, abox)
             rules = P.BASE_RULES
             for r in extras:

@@ -133,7 +133,6 @@ class TestAsk:
         docs = [json.loads(line) for line in out.splitlines()]
         assert [d["answer"] for d in docs] == [["f4", "f6"], False, True]
 
-
     @pytest.mark.parametrize("bad, error", [
         ("--member m4 'box1 DM", "ValueError"),         # unbalanced quote
         ("--bogus m1", "ArgumentError"),                # unknown flag
