@@ -297,7 +297,8 @@ def main(argv=None) -> int:
         if args.command == "model":
             return _cmd_model(args)
         return _cmd_trace(args)
-    except (PolardlError, OSError) as exc:
+    except (PolardlError, OSError, ValueError) as exc:
+        # ValueError: a role name or term the input cannot form
         if getattr(args, "format", "text") == "json":
             print(json.dumps(_error_payload(exc), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)

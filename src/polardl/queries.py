@@ -5,18 +5,20 @@ positive relationship, membership and subsumption query by lookup: the
 saturated set is a universal model for those, so ``b : C`` is entailed
 exactly when ``b I x_C`` was derived, and ``C1 sub C2`` exactly when
 ``a_C1 I x_C2`` was derived.  Negative relational queries are answered
-by scanning the input ABox, which is complete for them.  Everything
-else (membership of concepts absent from the ABox, negative membership
-and subsumption, separation, differentiation, identity) spawns an
-isolated saturation seeded from the original ABox, never from the
-cached completion, with creation terms or extra rules folded in.
+by scanning the input ABox, which is complete for them.  Membership of
+concepts absent from the ABox, negative membership, separation,
+differentiation and identity add creation terms, a membership or extra
+rules, so each resumes from the cached completion and derives only what
+that delta enables.  Negative subsumption rewrites the ABox, and
+saturates the result from scratch.
 
-Read-only queries against the cached completion may run concurrently;
-each saturating query owns its own run.
+Queries may run concurrently: the cached completion is built once, and
+a resumed run works on copies of its indexes.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .errors import (ClashPresentError, UnknownNameError,
@@ -74,6 +76,7 @@ class QueryEngine:
         self.max_steps = max_steps
         self.saturation_runs = 0
         self._base: T.Completion | None = None
+        self._lock = threading.Lock()   # guards _base and saturation_runs
 
     def _expand(self, c: S.Concept) -> S.Concept:
         """Replace defined names in a query concept by their definitions."""
@@ -81,14 +84,27 @@ class QueryEngine:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _saturate(self, assertions, rules=T.BASE_RULES) -> T.Completion:
-        self.saturation_runs += 1
-        return T.saturate(assertions, rules, max_steps=self.max_steps)
+    def _saturate(self, assertions, rules=T.BASE_RULES,
+                  start=None) -> T.Completion:
+        with self._lock:
+            self.saturation_runs += 1
+        return T.saturate(assertions, rules, max_steps=self.max_steps,
+                          start=start)
+
+    def _extend(self, assertions=(), rules=T.BASE_RULES) -> T.Completion:
+        """The ABox plus `assertions` under `rules`, resumed from the
+        cached completion, which must be consistent."""
+        return self._saturate(self.abox.union(assertions), rules,
+                              start=self.completion)
 
     @property
     def completion(self) -> T.Completion:
         if self._base is None:
-            self._base = self._saturate(self.abox)
+            with self._lock:
+                if self._base is None:
+                    self.saturation_runs += 1
+                    self._base = T.saturate(self.abox,
+                                            max_steps=self.max_steps)
         return self._base
 
     @property
@@ -124,17 +140,13 @@ class QueryEngine:
 
     def _completion_with_concepts(self, concepts) -> T.Completion:
         """The cached completion when every concept already occurs; else
-        an isolated run seeded with the missing creation pairs."""
+        a run resumed from it with the missing creation pairs."""
         self._require_consistent()
         missing = [c for c in concepts if c not in self.completion.occurring]
         if not missing:
             return self.completion
-        seeds = set()
-        for c in missing:
-            a_c, x_c = T.fresh_names(c)
-            seeds.add(S.member(a_c, c))
-            seeds.add(S.member(x_c, c))
-        run = self._saturate(self.abox | seeds)
+        run = self._extend(S.member(name, c) for c in missing
+                           for name in T.fresh_names(c))
         if not run.is_consistent:
             raise ClashPresentError(
                 "creation terms clashed on a consistent ABox; "
@@ -251,7 +263,7 @@ class QueryEngine:
         self._require_consistent()
         self._known(ind)
         return _clash_answer(
-            self._saturate(self.abox | {S.member(ind, self._expand(c))}))
+            self._extend([S.member(ind, self._expand(c))]))
 
     def ask_negative_subsumption(self, c1: S.Concept,
                                  c2: S.Concept) -> Answer:
@@ -325,8 +337,8 @@ class QueryEngine:
         self._known(second)
         if first.sort != second.sort:
             raise UnsupportedQueryError("separation compares same-sort names")
-        return _clash_answer(self._saturate(
-            self.abox, self._separation_rules(first, second, role, False)))
+        return _clash_answer(self._extend(
+            rules=self._separation_rules(first, second, role, False)))
 
     def ask_relation_separation(self, lhs: Role, rhs: Role,
                                 pivot: S.Individual) -> Answer:
@@ -336,7 +348,7 @@ class QueryEngine:
         self._known(pivot)
         rules = T.add_extra_rule(T.BASE_RULES,
                                  T.RelationInclusionRule(lhs, rhs, pivot))
-        return _clash_answer(self._saturate(self.abox, rules))
+        return _clash_answer(self._extend(rules=rules))
 
     def ask_differentiation(self, first: S.Individual, second: S.Individual,
                             role: Role = Role("I")) -> Answer:
@@ -351,8 +363,8 @@ class QueryEngine:
         if first.sort != second.sort:
             raise UnsupportedQueryError(
                 "differentiation compares same-sort names")
-        return _clash_answer(self._saturate(
-            self.abox, self._separation_rules(first, second, role, True)))
+        return _clash_answer(self._extend(
+            rules=self._separation_rules(first, second, role, True)))
 
     def ask_identity(self, first: S.Individual,
                      second: S.Individual) -> Answer:
@@ -380,8 +392,7 @@ class QueryEngine:
             if inner.is_relational:
                 return S.neg(inner) in self.abox
             if inner.ind not in known:
-                run = self._saturate(self.abox | {inner})
-                return not run.is_consistent
+                return not self._extend([inner]).is_consistent
             return self.ask_negative_membership(inner.ind, inner.concept).value
         if any(i not in known for i in t.individuals()):
             return False

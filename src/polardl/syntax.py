@@ -112,8 +112,7 @@ def _render(c: Concept, level: int) -> str:
 def _intern_concept(key, make):
     got = _concepts.get(key)
     if got is None:
-        got = make()
-        _concepts[key] = got
+        got = _concepts.setdefault(key, make())
     return got
 
 
@@ -282,8 +281,7 @@ class Individual:
 def _intern_ind(key, make):
     got = _individuals.get(key)
     if got is None:
-        got = make()
-        _individuals[key] = got
+        got = _individuals.setdefault(key, make())
     return got
 
 
@@ -491,8 +489,7 @@ class Assertion:
 def _intern_assertion(key, make):
     got = _assertions.get(key)
     if got is None:
-        got = make()
-        _assertions[key] = got
+        got = _assertions.setdefault(key, make())
     return got
 
 

@@ -55,6 +55,15 @@ when saturation starts.
 
 Negative assertions never match a positive premise: they only feed
 neg_b/neg_x and clash detection.
+
+Resumption: ``saturate(..., start=comp)`` continues from the consistent
+completion comp, on copies of its indexes, and fires only what the delta
+enables: each new extra rule on the existing facts of its trigger, the
+new inputs, creation for newly occurring concepts, and and_inv/or_inv
+for newly occurring meets and joins over their operands' members.  Every
+fact of comp has fired, rules are monotone and side conditions only
+grow, so the verdict and a consistent fixpoint equal a run from
+scratch; a clashing run may stop at another partial set.
 """
 
 from __future__ import annotations
@@ -198,6 +207,8 @@ class Completion:
     abox_depth: S.DepthProfile
     rules: RuleSet
     _index: dict = field(default_factory=dict, repr=False)
+    # the finished run of a consistent completion, for saturate(start=...)
+    _saturation: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_consistent(self) -> bool:
@@ -227,14 +238,10 @@ class Completion:
         return self._index[key]
 
     def original_individuals(self):
-        key = "orig"
-        if key not in self._index:
-            seen = {}
-            for a in self.input_assertions:
-                for ind in a.individuals():
-                    seen[ind] = None
-            self._index[key] = frozenset(seen)
-        return self._index[key]
+        if "orig" not in self._index:
+            self._index["orig"] = frozenset(
+                S.individuals_in(self.input_assertions))
+        return self._index["orig"]
 
     @cached_property
     def invariant_violations(self) -> tuple:
@@ -312,7 +319,8 @@ class Completion:
 # ---------------------------------------------------------------------------
 
 class _Saturation:
-    def __init__(self, inputs, rules: RuleSet, max_steps, shuffle_seed):
+    def __init__(self, inputs, rules: RuleSet, max_steps, shuffle_seed,
+                 occurring=None):
         self.rules = rules
         self.max_steps = max_steps
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
@@ -320,7 +328,6 @@ class _Saturation:
 
         self.store: dict = {}        # assertion -> (rule, premises)
         self.order: list = []
-        self.pos_relational: dict = {}   # positive relational terms present
         self.neg_relational: dict = {}   # relational terms under a negation
         self.obj_mem: dict = {}      # b -> {C: None}
         self.feat_mem: dict = {}
@@ -330,13 +337,18 @@ class _Saturation:
         self.dia_mem: dict = {}      # child C -> {(i, y): None}
         self.clash = None
         self.stats: dict = {}
+        self.steps = 0               # facts fired
         self.worklist = deque()
 
-        self.occurring = S.occurring_concepts(self.inputs)
+        self.occurring = (S.occurring_concepts(self.inputs)
+                          if occurring is None else occurring)
         # `occurring` iterates in id-hash order; every walk over it goes
         # through this list so that the completion order follows the input
         self.occurring_sorted = sorted(self.occurring, key=str)
-        self.abox_depth = S.abox_depths(self.inputs)
+        # a concept is at least as deep as its subconcepts
+        self.abox_depth = S.DepthProfile(
+            max((c.box_depth for c in self.occurring), default=0),
+            max((c.dia_depth for c in self.occurring), default=0))
         self.meet_partners: dict = {}   # operand -> [(meet, other operand)]
         self.join_partners: dict = {}
         for c in self.occurring_sorted:
@@ -354,6 +366,35 @@ class _Saturation:
             self.extra_rules.setdefault(extra.trigger, []).append(
                 (extra.conclude, extra.label))
 
+    def fork(self, inputs, rules: RuleSet, max_steps, shuffle_seed):
+        """A run over the given inputs and rules that starts from this
+        finished run's facts; the indexes are copied, so this run is
+        never written."""
+        run = _Saturation(inputs, rules, max_steps, shuffle_seed,
+                          self.occurring | S.occurring_concepts(
+                              frozenset(inputs) - self.inputs))
+        run.store = dict(self.store)
+        run.order = list(self.order)
+        run.neg_relational = dict(self.neg_relational)
+        run.stats = dict(self.stats)
+        run.steps = self.steps
+        for name in ("obj_mem", "feat_mem", "obj_of", "feat_of",
+                     "box_mem", "dia_mem"):
+            setattr(run, name, {k: dict(v)
+                                for k, v in getattr(self, name).items()})
+        return run
+
+    @cached_property
+    def relational_at(self) -> dict:
+        """Individual -> the positive relational facts it is an end of, in
+        completion order; built on the first resume with new extras."""
+        out: dict = {}
+        for a in self.order:
+            if a.is_relational:
+                out.setdefault(a.left, []).append(a)
+                out.setdefault(a.right, []).append(a)
+        return out
+
     # -- store primitives ---------------------------------------------------
 
     def add(self, a: S.Assertion, rule: str, premises: tuple):
@@ -366,11 +407,10 @@ class _Saturation:
         if a.kind == S.NEG:
             if a.inner.is_relational:
                 self.neg_relational[a.inner] = a
-                if a.inner in self.pos_relational:
+                if a.inner in self.store:
                     self.clash = (a.inner, a)
         else:
             if a.is_relational:
-                self.pos_relational[a] = None
                 hit = self.neg_relational.get(a)
                 if hit is not None:
                     self.clash = (a, hit)
@@ -488,22 +528,58 @@ class _Saturation:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> Completion:
-        present = S.individuals_in(self.inputs)
-        for extra in self.rules.extras:
+    @staticmethod
+    def _check_extras(extras, present):
+        for extra in extras:
             for ind in extra.individuals():
                 if ind not in present:
                     raise UnknownIndividualError(
                         f"extra rule names {ind}, which does not occur in the ABox")
 
-        for a in sorted(self.inputs, key=str):
-            self.add(a, "input", ())
-        for c in self.occurring_sorted:
+    def _create(self, concepts):
+        for c in concepts:
             a_c, x_c = fresh_names(c)
             self.add(S.member(a_c, c), "create", ())
             self.add(S.member(x_c, c), "create", ())
 
-        steps = 0
+    def run(self) -> Completion:
+        self._check_extras(self.rules.extras, S.individuals_in(self.inputs))
+        for a in sorted(self.inputs, key=str):
+            self.add(a, "input", ())
+        self._create(self.occurring_sorted)
+        return self._loop()
+
+    def resume(self, start: Completion) -> Completion:
+        """Fire what the delta adds to `start`, forked into this run."""
+        base = start._saturation
+        new_extras = self.rules.extras[len(base.rules.extras):]
+        delta = sorted(self.inputs - base.inputs, key=str)
+        self._check_extras(new_extras, start.original_individuals()
+                           | S.individuals_in(delta))
+        for extra in new_extras:
+            kind, index, ind = extra.trigger
+            for a in base.relational_at.get(ind, ()):
+                if a.kind == kind and a.index == index:
+                    self.add(extra.conclude(a), extra.label, (a,))
+        for a in delta:
+            self.add(a, "input", ())
+        fresh = [c for c in self.occurring_sorted if c not in base.occurring]
+        self._create(fresh)
+        for c in fresh:
+            if c.kind == S.MEET:
+                for b in list(self.obj_of.get(c.left, ())):
+                    if c.right in self.obj_mem[b]:
+                        self.add(S.member(b, c), "and_inv",
+                                 (S.member(b, c.left), S.member(b, c.right)))
+            elif c.kind == S.JOIN:
+                for y in list(self.feat_of.get(c.left, ())):
+                    if c.right in self.feat_mem[y]:
+                        self.add(S.member(y, c), "or_inv",
+                                 (S.member(y, c.left), S.member(y, c.right)))
+        return self._loop()
+
+    def _loop(self) -> Completion:
+        steps = self.steps
         while self.worklist and self.clash is None:
             if self.rng is None:
                 a = self.worklist.popleft()
@@ -517,6 +593,7 @@ class _Saturation:
                 raise ResourceLimitError(
                     f"saturation exceeded {self.max_steps} steps")
             self.fire(a)
+        self.steps = steps
 
         return Completion(
             input_assertions=self.inputs,
@@ -527,19 +604,32 @@ class _Saturation:
             occurring=self.occurring,
             abox_depth=self.abox_depth,
             rules=self.rules,
+            _saturation=self if self.clash is None else None,
         )
 
 
 def saturate(assertions, rules: RuleSet = BASE_RULES, *,
              max_steps: int | None = None,
-             shuffle_seed: int | None = None) -> Completion:
+             shuffle_seed: int | None = None,
+             start: Completion | None = None) -> Completion:
     """Saturate an assertion set under the given rules.
 
     Deterministic by default (fixed scheduling); pass shuffle_seed to run
     a randomized fair schedule, which reaches the same fixpoint.  A
     clash short-circuits saturation; the partial set is still reported.
+
+    `start`, a consistent completion of a subset of the assertions under
+    a prefix of the rules' extras, is resumed (see above); max_steps then
+    counts its steps too.  Any other `start` raises ValueError.
     """
-    return _Saturation(assertions, rules, max_steps, shuffle_seed).run()
+    if start is None:
+        return _Saturation(assertions, rules, max_steps, shuffle_seed).run()
+    base, inputs = start._saturation, frozenset(assertions)
+    if (base is None or not base.inputs <= inputs
+            or rules.extras[:len(base.rules.extras)] != base.rules.extras):
+        raise ValueError("start must be a consistent completion of a subset "
+                         "of the assertions under a prefix of the extras")
+    return base.fork(inputs, rules, max_steps, shuffle_seed).resume(start)
 
 
 def check_consistency(assertions, **kwargs) -> Completion:

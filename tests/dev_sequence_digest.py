@@ -22,6 +22,13 @@ completion entry in order; the set digest hashes the sorted assertions.
 An engine change that must keep the completion order keeps every
 sequence digest; one that may reorder derivations keeps the set digests
 and verdicts (compare with `cut -d' ' -f1,2,4,5`).
+
+The engine resumes its extension queries from the cached completion
+(`saturate(..., start=...)`).  A resumed run derives in another order
+than a run from scratch, so its sequence digest differs; it keeps the
+verdict, and the set digest when consistent (a clashing run may stop at
+another partial set).  Each run given `start` is also made from scratch
+and compared on just these; stderr reports the number of mismatches.
 """
 
 import hashlib
@@ -66,14 +73,21 @@ def main():
     corpus = fuzz.consistent_corpus(CORPUS_SEED, CORPUS_SIZE)
     rng = random.Random(CORPUS_SEED + 2)
     label = None        # (abox number, run name) of the next saturation
-    count = 0
+    count = resumed = mismatches = 0
     inner = T.saturate
 
     def recording(assertions, rules=T.BASE_RULES, **kwargs):
-        nonlocal count
+        nonlocal count, resumed, mismatches
         comp = inner(assertions, rules, **kwargs)
-        print(label[0], label[1].replace(" ", ""), *_line(comp))
+        line = _line(comp)
+        print(label[0], label[1].replace(" ", ""), *line)
         count += 1
+        if kwargs.pop("start", None) is not None:
+            _, sset, verdict = _line(inner(assertions, rules, **kwargs))
+            resumed += 1
+            if verdict != line[2] or (verdict == "consistent"
+                                      and sset != line[1]):
+                mismatches += 1
         return comp
 
     T.saturate = recording
@@ -110,6 +124,8 @@ def main():
         T.saturate = inner
 
     print("runs", count, file=sys.stderr)
+    print("resumed", resumed, "differ from scratch", mismatches,
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

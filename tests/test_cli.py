@@ -122,6 +122,24 @@ class TestAsk:
         code, _, err = run_cli("ask", MOVIES, "--list-related", "m9", "I")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("query, message", [
+        (("m1", "Rfoo", "f3"), "not a role name"),
+        (("f3", "I", "m1"), "incidence terms relate an object to a feature"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rejected_term_is_an_error_not_a_verdict(self, query, message,
+                                                     fmt):
+        code, out, err = run_cli("ask", MOVIES, "--rel", *query,
+                                 "--format", fmt)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["type"] == "ValueError"
+            assert message in error["message"]
+        else:
+            assert out == ""
+
     def test_batch(self, tmp_path):
         batch = tmp_path / "queries.txt"
         batch.write_text("--list-related m3 I\n"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 import polardl as P
@@ -293,3 +296,48 @@ class TestEngineContracts:
         assert one.list_related(m3, I).value == two.list_related(m3, I).value
         assert one.ask_differentiation(m2, m4).certificate == \
             two.ask_differentiation(m2, m4).certificate
+
+    def test_concurrent_queries_share_one_base(self, movies_kb):
+        rbox1 = P.Role("box", 1)
+        box2_dia1_rm = P.box(2, P.dia(1, RM))
+        queries = [("ask_separation", (m4, m2, I)),
+                   ("ask_separation", (m4, m2, rbox1)),
+                   ("ask_separation", (m2, m4, I)),
+                   ("ask_differentiation", (m2, m4)),
+                   ("ask_differentiation", (m1, m3, rbox1)),
+                   ("ask_negative_membership", (m1, box2_dia1_rm)),
+                   ("ask_negative_membership", (m3, GM))]
+        sequential = P.QueryEngine(movies_kb)
+        expected = [getattr(sequential, name)(*args) for name, args in queries]
+        assert {a.value for a in expected} == {True, False}
+
+        engine = P.QueryEngine(movies_kb)
+        workers, rounds = 4, 5
+        barrier = threading.Barrier(workers)
+        got = [None] * workers
+
+        def ask(k):
+            barrier.wait(timeout=30)    # every first query races the base
+            got[k] = [getattr(engine, name)(*args)
+                      for _ in range(rounds) for name, args in queries]
+
+        threads = [threading.Thread(target=ask, args=(k,))
+                   for k in range(workers)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for answers in got:
+            assert answers == expected * rounds
+        # one base run, then one resumed run per query
+        assert engine.saturation_runs == 1 + workers * rounds * len(queries)
+        # no resumed run wrote to the base
+        base, fresh = engine.completion, P.check_consistency(engine.abox)
+        assert base.assertions == fresh.assertions
+        assert base.provenance == fresh.provenance

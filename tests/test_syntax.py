@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +181,36 @@ class TestSortDiscipline:
         with pytest.raises(ValueError):
             P.Role("I", 1)
         assert str(P.Role.parse("Rdia2")) == "Rdia2"
+
+
+class TestInterning:
+    def test_concurrent_construction_gives_one_object_per_key(self):
+        # eight threads build the same fresh terms while the interpreter
+        # switches threads as often as it can; each table must still map
+        # a key to one object, shared by every builder
+        n, workers = 20_000, 8
+        names = [f"race{i}" for i in range(n)]
+        built = [None] * workers
+
+        def build(k):
+            built[k] = [S.member(S.named_obj(name), S.box(1, S.atom(name)))
+                        for name in names]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for i, name in enumerate(names):
+            terms = {id(run[i]) for run in built}
+            concepts = {id(run[i].concept) for run in built}
+            individuals = {id(run[i].ind) for run in built}
+            assert (len(terms), len(concepts), len(individuals)) == (1, 1, 1)
+            assert built[0][i].concept is S.box(1, S.atom(name))
