@@ -16,14 +16,15 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
                      pad_obj, pad_feat,
                      rel_i, rel_box, rel_dia, rel, member, neg,
                      subconcepts, occurs_in, occurring_concepts,
-                     depth_profile, abox_depths,
+                     depth_profile,
                      is_box_leading, is_dia_leading)
 from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)
 from .tbox import rewrite_gci, check_acyclic, unravel, definition_map
 from .tableaux import (RuleSet, BASE_RULES, Completion, saturate,
                        check_consistency, add_extra_rule, fresh_names,
-                       CopyRule, RelationInclusionRule)
+                       CopyRule, RelationInclusionRule,
+                       SubsumptionRule)
 from .model import (Polarity, Model, build_model, galois_up, galois_down,
                     interpret_concept, check_satisfies, check_i_compatibility,
                     bounded_model_search, enumerate_formal_concepts,

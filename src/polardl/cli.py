@@ -244,7 +244,8 @@ def _cmd_ask(args) -> int:
                 sub = ap.parse_args(["ask", args.kb] + shlex.split(line))
                 sub.format = args.format
                 payload = _run_ask_query(sub, kb, engine)
-            except (PolardlError, ValueError, argparse.ArgumentError) as exc:
+            except (PolardlError, ValueError, RecursionError,
+                    argparse.ArgumentError) as exc:
                 failed = True
                 payload = _error_payload(exc)
                 print(f"error: {line}: {exc}", file=sys.stderr)
@@ -297,8 +298,10 @@ def main(argv=None) -> int:
         if args.command == "model":
             return _cmd_model(args)
         return _cmd_trace(args)
-    except (PolardlError, OSError, ValueError) as exc:
-        # ValueError: a role name or term the input cannot form
+    except (PolardlError, OSError, ValueError, RecursionError) as exc:
+        # ValueError: a role name or term the input cannot form;
+        # RecursionError: input nested deeper than the recursive parser
+        # and term walkers reach
         if getattr(args, "format", "text") == "json":
             print(json.dumps(_error_payload(exc), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)

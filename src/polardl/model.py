@@ -362,9 +362,11 @@ def _canonical_assignments(names, size):
 
 def bounded_model_search(assertions, max_objects: int = 3,
                          max_features: int = 3,
-                         budget: int = 2_000_000):
+                         budget: int = 2_000_000, axioms=()):
     """Exhaustively search for a model over carriers up to the given
-    sizes; returns (model, obj_map, feat_map) or None.
+    sizes; returns (model, obj_map, feat_map) or None.  The model also
+    satisfies each subsumption (c1, c2) in `axioms`: the extent of c1
+    lies inside that of c2.
 
     Absence of a model at a bound does not prove inconsistency; this is
     a desk-scale oracle for cross-checking the saturation verdicts.
@@ -373,15 +375,17 @@ def bounded_model_search(assertions, max_objects: int = 3,
     its classifying meaning here.
     """
     assertions = list(assertions)
+    axioms = list(axioms)
+    concepts = S.occurring_concepts(assertions).union(
+        *(S.subconcepts(c) for pair in axioms for c in pair))
     obj_names = sorted({i for a in assertions for i in a.individuals()
                         if i.sort == S.OBJ}, key=str)
     feat_names = sorted({i for a in assertions for i in a.individuals()
                          if i.sort == S.FEAT}, key=str)
-    atoms = sorted({c.name for c in S.occurring_concepts(assertions)
-                    if c.kind == S.ATOM})
+    atoms = sorted({c.name for c in concepts if c.kind == S.ATOM})
     box_idx = set()
     dia_idx = set()
-    for c in S.occurring_concepts(assertions):
+    for c in concepts:
         if c.kind == S.BOX:
             box_idx.add(c.index)
         elif c.kind == S.DIA:
@@ -410,7 +414,7 @@ def bounded_model_search(assertions, max_objects: int = 3,
                 for f_asg in _canonical_assignments(feat_names, n_feat):
                     f_map = dict(zip(feat_names, f_asg))
                     m = _search_with_assignment(
-                        assertions, elems_o, elems_f, o_map, f_map,
+                        assertions, axioms, elems_o, elems_f, o_map, f_map,
                         atoms, sorted(box_idx), sorted(dia_idx), spend)
                     if m is not None:
                         return (m,
@@ -433,8 +437,8 @@ def _translate(a, o_map, f_map, elems_o, elems_f):
     return S.rel_dia(a.index, elems_f[f_map[a.left]], elems_o[o_map[a.right]])
 
 
-def _search_with_assignment(assertions, elems_o, elems_f, o_map, f_map,
-                            atoms, box_idx, dia_idx, spend):
+def _search_with_assignment(assertions, axioms, elems_o, elems_f, o_map,
+                            f_map, atoms, box_idx, dia_idx, spend):
     n_obj, n_feat = len(elems_o), len(elems_f)
     cells = [(bi, yi) for bi in range(n_obj) for yi in range(n_feat)]
     forced_on = set()
@@ -539,13 +543,13 @@ def _search_with_assignment(assertions, elems_o, elems_f, o_map, f_map,
             continue
 
         m = _roles_then_check(p, atoms, atom_choices, membership_terms,
-                              box_idx, dia_idx, row_domains, spend)
+                              axioms, box_idx, dia_idx, row_domains, spend)
         if m is not None:
             return m
     return None
 
 
-def _roles_then_check(p, atoms, atom_choices, membership_terms,
+def _roles_then_check(p, atoms, atom_choices, membership_terms, axioms,
                       box_idx, dia_idx, row_domains, spend):
     def candidates(kind, indexes):
         if not indexes:
@@ -556,7 +560,8 @@ def _roles_then_check(p, atoms, atom_choices, membership_terms,
             yield {i: list(rows) for i, rows in zip(indexes, combo)}
 
     # role facts are satisfied by construction of the row domains, so
-    # only I-compatibility (atom-independent) and memberships remain
+    # only I-compatibility (atom-independent), memberships and axioms
+    # remain
     for box_rows in candidates("box", box_idx):
         for dia_rows in candidates("dia", dia_idx):
             spend()
@@ -567,7 +572,10 @@ def _roles_then_check(p, atoms, atom_choices, membership_terms,
                 spend()
                 m = Model(polarity=p, box_rows=box_rows, dia_rows=dia_rows,
                           atoms=dict(zip(atoms, combo)))
-                if all(check_satisfies(m, t) for t in membership_terms):
+                if (all(check_satisfies(m, t) for t in membership_terms)
+                        and all(m.interpret_mask(c1)[0]
+                                & ~m.interpret_mask(c2)[0] == 0
+                                for c1, c2 in axioms)):
                     return m
     return None
 

@@ -9,8 +9,8 @@ by scanning the input ABox, which is complete for them.  Membership of
 concepts absent from the ABox, negative membership, separation,
 differentiation and identity add creation terms, a membership or extra
 rules, so each resumes from the cached completion and derives only what
-that delta enables.  Negative subsumption rewrites the ABox, and
-saturates the result from scratch.
+that delta enables.  Negative subsumption adds the creation pairs of
+its two concepts and the subsumption as an extra rule, and resumes too.
 
 Queries may run concurrently: the cached completion is built once, and
 a resumed run works on copies of its indexes.
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from .errors import (ClashPresentError, UnknownNameError,
                      UnsupportedQueryError)
 from .parser import KnowledgeBase
-from .tbox import (definition_map, replace_subtree, substitute_concept,
-                   unravel)
+from .tbox import definition_map, substitute_concept, unravel
 from . import syntax as S
 from . import tableaux as T
 from .syntax import Role
@@ -84,18 +83,14 @@ class QueryEngine:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _saturate(self, assertions, rules=T.BASE_RULES,
-                  start=None) -> T.Completion:
-        with self._lock:
-            self.saturation_runs += 1
-        return T.saturate(assertions, rules, max_steps=self.max_steps,
-                          start=start)
-
     def _extend(self, assertions=(), rules=T.BASE_RULES) -> T.Completion:
         """The ABox plus `assertions` under `rules`, resumed from the
         cached completion, which must be consistent."""
-        return self._saturate(self.abox.union(assertions), rules,
-                              start=self.completion)
+        start = self.completion
+        with self._lock:
+            self.saturation_runs += 1
+        return T.saturate(self.abox.union(assertions), rules,
+                          max_steps=self.max_steps, start=start)
 
     @property
     def completion(self) -> T.Completion:
@@ -267,8 +262,10 @@ class QueryEngine:
 
     def ask_negative_subsumption(self, c1: S.Concept,
                                  c2: S.Concept) -> Answer:
-        """Entailed non-subsumption: fold c1 sub c2 into the ABox by
-        rewriting and unraveling, then test consistency.
+        """Entailed non-subsumption: add the creation pairs of c1 and c2
+        and the extra rule for c1 sub c2, then test consistency.  Each
+        conclusion of the rule holds under the axiom, so a clash proves
+        that no model of the ABox satisfies it.
 
         Supported only when no subformula of c1 appears in c2.
         """
@@ -277,45 +274,10 @@ class QueryEngine:
         if S.subconcepts(c1) & S.subconcepts(c2):
             raise UnsupportedQueryError(
                 "negative subsumption needs c1 and c2 subformula-disjoint")
-        taken = {s.name for s in (S.subconcepts(c1) | S.subconcepts(c2))
-                 if s.kind == S.ATOM}
-        taken |= {s.name for c in S.occurring_concepts(self.abox)
-                  for s in S.subconcepts(c) if s.kind == S.ATOM}
-        n = 1
-        while f"G{n}" in taken:
-            n += 1
-        replacement = S.meet(c2, S.atom(f"G{n}"))
-        rewritten = {self._replace_in_assertion(a, c1, replacement)
-                     for a in self.abox}
-        a_r, x_r = T.fresh_names(replacement)
-        rewritten |= {S.member(a_r, replacement), S.member(x_r, replacement)}
-        return _clash_answer(self._saturate(rewritten))
-
-    @staticmethod
-    def _replace_in_assertion(a, target, replacement):
-        def fix_ind(ind):
-            if ind.kind == S.CLASSIFIER:
-                c = replace_subtree(ind.concept, target, replacement)
-                return (S.classifier_obj(c) if ind.sort == S.OBJ
-                        else S.classifier_feat(c))
-            if ind.kind == S.NAMED:
-                return ind
-            ctor = {S.BLACK_DIA: S.black_diamond, S.ADJ_DIA: S.adj_diamond,
-                    S.ADJ_BOX: S.adj_box, S.BLACK_SQ: S.black_square}[ind.kind]
-            return ctor(fix_ind(ind.base), ind.index)
-
-        if a.kind == S.NEG:
-            return S.neg(QueryEngine._replace_in_assertion(
-                a.inner, target, replacement))
-        if a.kind in (S.MEM_OBJ, S.MEM_FEAT):
-            return S.member(fix_ind(a.ind),
-                            replace_subtree(a.concept, target, replacement))
-        left, right = fix_ind(a.left), fix_ind(a.right)
-        if a.kind == S.REL_I:
-            return S.rel_i(left, right)
-        if a.kind == S.REL_BOX:
-            return S.rel_box(a.index, left, right)
-        return S.rel_dia(a.index, left, right)
+        rules = T.add_extra_rule(T.BASE_RULES, T.SubsumptionRule(c1, c2))
+        return _clash_answer(self._extend(
+            [S.member(name, c) for c in (c1, c2) for name in T.fresh_names(c)],
+            rules))
 
     # -- separation / differentiation / identity ---------------------------------
 

@@ -576,15 +576,6 @@ def occurs_in(c: Concept, assertions) -> bool:
     return c in occurring_concepts(assertions)
 
 
-def abox_depths(assertions) -> DepthProfile:
-    """Componentwise maximum of depths over all occurring concepts."""
-    bd = dd = 0
-    for c in membership_concepts(assertions):
-        bd = max(bd, c.box_depth)
-        dd = max(dd, c.dia_depth)
-    return DepthProfile(bd, dd)
-
-
 def individuals_in(assertions) -> set:
     out = set()
     for a in assertions:

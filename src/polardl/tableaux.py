@@ -39,11 +39,12 @@ match classifier names only, so every name triggers exactly the rules
 of its normal form.
 
 Extra rules fold a universal axiom into saturation; consistency of the
-extended set decides the corresponding separation query.  There are two
-forms.  Each has a trigger key (fact kind, role index, individual) and a
-``conclude(fact)``; a positive relational fact fires the rules keyed by
-its kind, its index and either of its ends, through one dict compiled
-when saturation starts.
+extended set decides the corresponding separation or negative
+subsumption query.  There are three forms.  Each has trigger keys and a
+``conclude(fact)``, compiled into one dict when saturation starts.  A
+positive relational fact fires the rules keyed by (its kind, its index,
+either of its ends); a membership fact fires those keyed by (its kind,
+its concept).  A run without extra rules never looks a fact up.
 
     CopyRule(R, s, d), s and d of one sort; key (R, s):
         a fact of s under R           =>  the same fact with d for s
@@ -52,13 +53,18 @@ when saturation starts.
         b Rboxi y,  b = p             =>  y Rdiaj b  or  b I y
         y Rdiai b,  y = p             =>  b Rboxj y  or  b I y
         label SA(L,R,p) for an object pivot, SX(L,R,p) for a feature
+    SubsumptionRule(C1, C2), C1 and C2 occurring in the input;
+    keys (b : C1) and (y :: C2):
+        b : C1                        =>  b : C2
+        y :: C2                       =>  y :: C1
+        label SUB(C1,C2)
 
 Negative assertions never match a positive premise: they only feed
 neg_b/neg_x and clash detection.
 
 Resumption: ``saturate(..., start=comp)`` continues from the consistent
 completion comp, on copies of its indexes, and fires only what the delta
-enables: each new extra rule on the existing facts of its trigger, the
+enables: each new extra rule on the existing facts of its triggers, the
 new inputs, creation for newly occurring concepts, and and_inv/or_inv
 for newly occurring meets and joins over their operands' members.  Every
 fact of comp has fired, rules are monotone and side conditions only
@@ -104,8 +110,8 @@ class CopyRule:
         return f"{tag}{at}({self.src},{self.dst})"
 
     @property
-    def trigger(self):
-        return (_FACT_KIND[self.role.kind], self.role.index, self.src)
+    def triggers(self):
+        return ((_FACT_KIND[self.role.kind], self.role.index, self.src),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         if a.left is self.src:
@@ -140,8 +146,8 @@ class RelationInclusionRule:
         return f"{tag}({self.lhs},{self.rhs},{self.pivot})"
 
     @property
-    def trigger(self):
-        return (_FACT_KIND[self.lhs.kind], self.lhs.index, self.pivot)
+    def triggers(self):
+        return ((_FACT_KIND[self.lhs.kind], self.lhs.index, self.pivot),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         # the pivot heads the premise: b Rboxi y or y Rdiai b
@@ -152,6 +158,29 @@ class RelationInclusionRule:
 
     def individuals(self):
         return (self.pivot,)
+
+
+@dataclass(frozen=True)
+class SubsumptionRule:
+    """The axiom c1 sub c2: the extent of c1 lies inside that of c2, and
+    the intent of c2 inside that of c1.  Both concepts must occur in the
+    input; a query adds their creation pairs."""
+    c1: S.Concept
+    c2: S.Concept
+
+    @property
+    def label(self):
+        return f"SUB({self.c1},{self.c2})"
+
+    @property
+    def triggers(self):
+        return ((S.MEM_OBJ, self.c1), (S.MEM_FEAT, self.c2))
+
+    def conclude(self, a: S.Assertion) -> S.Assertion:
+        return S.member(a.ind, self.c2 if a.kind == S.MEM_OBJ else self.c1)
+
+    def individuals(self):
+        return ()
 
 
 @dataclass(frozen=True)
@@ -179,7 +208,7 @@ def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
         else:
             if extra.rhs.kind not in ("box", "I") or extra.pivot.sort != S.FEAT:
                 raise UnsupportedRuleError(f"unsupported direction {extra.label}")
-    else:
+    elif not isinstance(extra, SubsumptionRule):
         raise UnsupportedRuleError(f"unknown extra rule {extra!r}")
     return RuleSet(rules.extras + (extra,))
 
@@ -361,10 +390,11 @@ class _Saturation:
                 if c.right is not c.left:
                     self.join_partners.setdefault(c.right, []).append((c, c.left))
 
-        self.extra_rules: dict = {}  # trigger -> [(conclude, label)]
+        self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
         for extra in rules.extras:
-            self.extra_rules.setdefault(extra.trigger, []).append(
-                (extra.conclude, extra.label))
+            for key in extra.triggers:
+                self.extra_rules.setdefault(key, []).append(
+                    (extra.conclude, extra.label))
 
     def fork(self, inputs, rules: RuleSet, max_steps, shuffle_seed):
         """A run over the given inputs and rules that starts from this
@@ -394,6 +424,17 @@ class _Saturation:
                 out.setdefault(a.left, []).append(a)
                 out.setdefault(a.right, []).append(a)
         return out
+
+    def facts_at(self, key) -> list:
+        """The facts of this run with the given trigger key, in completion
+        order."""
+        if key[0] == S.MEM_OBJ:
+            return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
+        if key[0] == S.MEM_FEAT:
+            return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
+        kind, index, ind = key
+        return [a for a in self.relational_at.get(ind, ())
+                if a.kind == kind and a.index == index]
 
     # -- store primitives ---------------------------------------------------
 
@@ -462,6 +503,8 @@ class _Saturation:
                          (a, S.member(y, c.child)))
         for i, y in list(self.dia_mem.get(c, ())):
             self.add(S.rel_dia(i, y, b), "dia", (S.member(y, S.dia(i, c)), a))
+        if self.extra_rules:
+            self.fire_extras(a)
 
     def fire_feat_membership(self, a):
         y, c = a.ind, a.concept
@@ -479,6 +522,8 @@ class _Saturation:
                          (a, S.member(b, c.child)))
         for i, b in list(self.box_mem.get(c, ())):
             self.add(S.rel_box(i, b, y), "box", (S.member(b, S.box(i, c)), a))
+        if self.extra_rules:
+            self.fire_extras(a)
 
     def fire_incidence(self, a):
         b, y = a.left, a.right
@@ -512,9 +557,12 @@ class _Saturation:
             self.fire_extras(a)
 
     def fire_extras(self, a):
-        for end in (a.left, a.right):
-            for conclude, label in self.extra_rules.get(
-                    (a.kind, a.index, end), ()):
+        if a.kind == S.MEM_OBJ or a.kind == S.MEM_FEAT:
+            keys = ((a.kind, a.concept),)
+        else:
+            keys = ((a.kind, a.index, a.left), (a.kind, a.index, a.right))
+        for key in keys:
+            for conclude, label in self.extra_rules.get(key, ()):
                 self.add(conclude(a), label, (a,))
 
     def fire_negative(self, a):
@@ -528,13 +576,17 @@ class _Saturation:
 
     # -- main loop -----------------------------------------------------------
 
-    @staticmethod
-    def _check_extras(extras, present):
+    def _check_extras(self, extras, present):
         for extra in extras:
             for ind in extra.individuals():
                 if ind not in present:
                     raise UnknownIndividualError(
                         f"extra rule names {ind}, which does not occur in the ABox")
+            if isinstance(extra, SubsumptionRule) and not (
+                    extra.c1 in self.occurring and extra.c2 in self.occurring):
+                raise UnsupportedRuleError(
+                    f"{extra.label} names a concept that does not occur "
+                    "in the ABox")
 
     def _create(self, concepts):
         for c in concepts:
@@ -557,9 +609,8 @@ class _Saturation:
         self._check_extras(new_extras, start.original_individuals()
                            | S.individuals_in(delta))
         for extra in new_extras:
-            kind, index, ind = extra.trigger
-            for a in base.relational_at.get(ind, ()):
-                if a.kind == kind and a.index == index:
+            for key in extra.triggers:
+                for a in base.facts_at(key):
                     self.add(extra.conclude(a), extra.label, (a,))
         for a in delta:
             self.add(a, "input", ())

@@ -119,24 +119,6 @@ def substitute_concept(c: S.Concept, mapping: dict, _memo=None) -> S.Concept:
     return out
 
 
-def replace_subtree(c: S.Concept, target: S.Concept,
-                    replacement: S.Concept) -> S.Concept:
-    """Replace every occurrence of the subtree target inside c."""
-    if c is target:
-        return replacement
-    if c.kind == S.ATOM:
-        return c
-    if c.kind == S.MEET:
-        return S.meet(replace_subtree(c.left, target, replacement),
-                      replace_subtree(c.right, target, replacement))
-    if c.kind == S.JOIN:
-        return S.join(replace_subtree(c.left, target, replacement),
-                      replace_subtree(c.right, target, replacement))
-    if c.kind == S.BOX:
-        return S.box(c.index, replace_subtree(c.child, target, replacement))
-    return S.dia(c.index, replace_subtree(c.child, target, replacement))
-
-
 def definition_map(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> dict:
     """Fully expanded definition for each defined name, or raise."""
     tbox = rewrite_all(kb)

@@ -10,6 +10,8 @@ For each ABox of the acceptance corpus it makes these runs:
   ident    an identity query for the same object pair and feature pair;
   seprel   a relation separation query for box->I and box->dia at an
            object pivot, and dia->I and dia->box at a feature pivot;
+  negsub   a negative subsumption query for the first pair of
+           `fuzz.subsumption_pairs`, when the ABox has one;
   extras   one saturation with the rules of `fuzz.sample_extras`.
 
 Every saturation is recorded by wrapping `tableaux.saturate`, so an
@@ -114,6 +116,9 @@ def main():
                     for rhs in rhss:
                         label = (n, f"seprel:{lhs}:{rhs}:{pivot}")
                         engine.ask_relation_separation(lhs, rhs, pivot)
+            for c1, c2 in fuzz.subsumption_pairs(abox)[:1]:
+                label = (n, f"negsub:{c1}:{c2}")
+                engine.ask_negative_subsumption(c1, c2)
             extras = fuzz.sample_extras(rng, abox)
             rules = P.BASE_RULES
             for r in extras:

@@ -116,6 +116,19 @@ def sample_extras(rng, abox, *, relation_rules=True):
     return extras
 
 
+def subsumption_pairs(abox):
+    """Subformula-disjoint pairs (c1, c2) of concepts occurring in the
+    ABox, in text order, those where c1 or c2 is the concept of a negated
+    membership first: a negative subsumption query can only clash
+    against a negation."""
+    negated = {a.inner.concept for a in abox if a.kind == S.NEG
+               and a.inner.kind in (S.MEM_OBJ, S.MEM_FEAT)}
+    occurring = sorted(S.occurring_concepts(abox), key=str)
+    pairs = [(c1, c2) for c1 in occurring for c2 in occurring
+             if not S.subconcepts(c1) & S.subconcepts(c2)]
+    return sorted(pairs, key=lambda p: not set(p) & negated)
+
+
 def is_crossing(rule):
     """True for a relation inclusion between a box and a dia role
     (box->dia at an object pivot, dia->box at a feature pivot)."""

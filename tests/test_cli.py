@@ -10,6 +10,8 @@ from polardl.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MOVIES = str(FIXTURES / "movies.kb")
 CLASH = str(FIXTURES / "clash.kb")
+HEADER = "roles box 1 dia 1.\nobj b.\n"
+DEEP_PARENS = "(" * 500 + "DM" + ")" * 500
 
 
 def run_cli(*argv):
@@ -68,6 +70,24 @@ class TestCheck:
         code, _, err = run_cli("check", "no-such-file.kb")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("concept", [
+        DEEP_PARENS,
+        " and ".join(f"A{k}" for k in range(1200)),
+    ], ids=["parentheses", "conjuncts"])
+    @pytest.mark.parametrize("command", ["check", "model"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_deep_input_is_an_error_not_a_verdict(self, tmp_path, concept,
+                                                  command, fmt):
+        kb = tmp_path / "deep.kb"
+        kb.write_text(f"{HEADER}b : {concept}.\n")
+        code, out, err = run_cli(command, str(kb), "--format", fmt)
+        assert code == 2
+        assert err.startswith("error: ")
+        if fmt == "json":
+            assert json.loads(out)["error"]["type"] == "RecursionError"
+        else:
+            assert out == ""
+
 
 class TestAsk:
     def test_list_related(self):
@@ -89,6 +109,14 @@ class TestAsk:
     def test_negative_membership(self):
         code, out, _ = run_cli("ask", MOVIES, "--neg", "--member", "m1",
                                "box2 dia1 RM")
+        assert json.loads(out.splitlines()[0]) is True
+
+    @pytest.mark.parametrize("c1", ["A and B", "B and A"])
+    def test_negative_subsumption_either_operand_order(self, tmp_path, c1):
+        kb = tmp_path / "kb.kb"
+        kb.write_text(f"{HEADER}b : A and B.\nnot b : C.\n")
+        code, out, _ = run_cli("ask", str(kb), "--neg", "--subsume", c1, "C")
+        assert code == 0
         assert json.loads(out.splitlines()[0]) is True
 
     def test_negative_relational(self):
@@ -156,6 +184,8 @@ class TestAsk:
         ("--bogus m1", "ArgumentError"),                # unknown flag
         ("--rel zz I f3", "ParseError"),                # undeclared name
         ("--dif m2 m4 -h", "ArgumentError"),            # help request
+        pytest.param(f"--member m4 '{DEEP_PARENS}'", "RecursionError",
+                     id="--member m4 deep-RecursionError"),
     ])
     def test_batch_goes_on_after_a_bad_line(self, tmp_path, bad, error):
         batch = tmp_path / "queries.txt"

@@ -4,15 +4,21 @@ import threading
 import pytest
 
 import polardl as P
+from polardl import syntax as S
+from polardl import tableaux as T
 from polardl.errors import (ClashPresentError, UnknownNameError,
                             UnsupportedQueryError)
 
+import fuzz
 import movie_data as MD
 
 I = P.Role("I")
 m1, m2, m3, m4 = (P.named_obj(n) for n in ("m1", "m2", "m3", "m4"))
 f2, f3, f4, f6 = (P.named_feat(n) for n in ("f2", "f3", "f4", "f6"))
 GM, FM, RM, DM, D, E = (P.atom(n) for n in ("GM", "FM", "RM", "DM", "D", "E"))
+
+
+CORPUS_SEED = 20240811       # as in test_acceptance.py: its first ABoxes
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +176,9 @@ class TestNegativeQueries:
         eng = P.QueryEngine(abox)
         assert eng.ask_negative_subsumption(GM, P.atom("F")).value is True
         # the bounded oracle agrees nothing satisfies both
-        rewritten = {eng._replace_in_assertion(t, GM,
-                                               P.meet(P.atom("F"), P.atom("G1")))
-                     for t in abox}
-        assert P.bounded_model_search(rewritten, 3, 3) is None
+        assert P.bounded_model_search(abox, 3, 3) is not None
+        assert P.bounded_model_search(
+            abox, 3, 3, axioms=[(GM, P.atom("F"))]) is None
 
     def test_negative_subsumption_false_case(self):
         eng = P.QueryEngine({P.member(P.named_obj("a"), GM),
@@ -185,6 +190,100 @@ class TestNegativeQueries:
         # stays consistent: the entailed-non-subsumption answer is no
         assert movies_engine.ask_negative_subsumption(
             P.box(1, GM), FM).value is False
+
+    def test_negative_subsumption_resumes(self, movies_kb, monkeypatch):
+        starts = []
+        inner = T.saturate
+
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            return inner(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(T, "saturate", recording)
+        eng = P.QueryEngine(movies_kb)
+        assert eng.ask_negative_subsumption(P.atom("IM"), RM).value is False
+        assert eng.ask_negative_subsumption(GM, FM).value is True
+        # the base run, then two runs resumed from it
+        assert starts == [None, eng.completion, eng.completion]
+        assert eng.saturation_runs == 3
+
+    def test_negative_subsumption_against_the_rewrite(self):
+        # the rules answer true wherever the rewrite does; each case
+        # where only the rules answer true has a witness or no model
+        b2, b3 = P.named_obj("b2"), P.named_obj("b3")
+        D1, D3, D4 = (P.atom(n) for n in ("D1", "D3", "D4"))
+        hand = (frozenset({P.member(b2, P.join(D4, P.meet(D3, D3))),
+                           P.member(b3, D3), P.neg(P.member(b2, D4))}),
+                [(P.join(P.join(D3, D3), D1), D4)])
+        cases = [(abox, fuzz.subsumption_pairs(abox))
+                 for abox, _ in fuzz.consistent_corpus(CORPUS_SEED, 150)]
+        agree = witnessed = modelless = 0
+        for abox, pairs in cases + [hand]:
+            eng = P.QueryEngine(abox)
+            names = sorted(S.individuals_in(abox), key=str)
+            for c1, c2 in pairs:
+                where = (sorted(map(str, abox)), str(c1), str(c2))
+                rewritten = _rewrite_answer(abox, c1, c2)
+                ruled = eng.ask_negative_subsumption(c1, c2).value
+                if ruled == rewritten:
+                    agree += 1
+                    continue
+                assert ruled and not rewritten, where
+                if any(_witnesses(eng, ind, c1, c2) for ind in names):
+                    witnessed += 1
+                else:
+                    assert P.bounded_model_search(
+                        abox, 3, 3, axioms=[(c1, c2)]) is None, where
+                    modelless += 1
+        assert agree > 2000 and witnessed > 0 and modelless > 0
+
+
+def _replace_subtree(c, target, replacement):
+    if c is target:
+        return replacement
+    if c.kind == S.ATOM:
+        return c
+    if c.kind in (S.MEET, S.JOIN):
+        op = P.meet if c.kind == S.MEET else P.join
+        return op(_replace_subtree(c.left, target, replacement),
+                  _replace_subtree(c.right, target, replacement))
+    op = P.box if c.kind == S.BOX else P.dia
+    return op(c.index, _replace_subtree(c.child, target, replacement))
+
+
+def _rewrite_answer(abox, c1, c2):
+    """Negative subsumption by the former rewrite: every occurrence of c1
+    becomes c2 and G for a fresh atom G, and the result is saturated from
+    scratch.  Only membership concepts are rewritten, so the ABox must
+    name no classifier."""
+    taken = {s.name for c in S.occurring_concepts(abox) | {c1, c2}
+             for s in S.subconcepts(c) if s.kind == S.ATOM}
+    n = 1
+    while f"G{n}" in taken:
+        n += 1
+    replacement = P.meet(c2, P.atom(f"G{n}"))
+
+    def rewrite(a):
+        if a.kind == S.NEG:
+            return P.neg(rewrite(a.inner))
+        if a.kind in (S.MEM_OBJ, S.MEM_FEAT):
+            assert not a.ind.is_synthetic
+            return P.member(a.ind, _replace_subtree(a.concept, c1,
+                                                    replacement))
+        return a
+
+    rewritten = {rewrite(a) for a in abox}
+    rewritten |= {P.member(name, replacement)
+                  for name in P.fresh_names(replacement)}
+    return not P.check_consistency(rewritten).is_consistent
+
+
+def _witnesses(eng, ind, c1, c2):
+    """An object entailed in c1 and entailed not in c2, or a feature
+    entailed in the intent of c2 and not in that of c1."""
+    inside, outside = (c1, c2) if ind.sort == S.OBJ else (c2, c1)
+    return (eng.ask_membership(ind, inside).value
+            and eng.ask_negative_membership(ind, outside).value)
 
 
 class TestSeparation:

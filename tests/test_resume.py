@@ -33,7 +33,9 @@ def _extensions(abox, rng):
     separation on every role and identity for an object pair and a
     feature pair, relation separation in all four directions, negative
     membership of a meet and of a join new to the ABox, creation terms
-    of a new concept, and the rules of `fuzz.sample_extras`."""
+    of a new concept, negative subsumption for a pair of occurring
+    concepts and for a new meet in place of its c1, and the rules of
+    `fuzz.sample_extras`."""
     objs, feats = _names(abox, S.OBJ), _names(abox, S.FEAT)
     roles = [I] + [P.Role("box", i) for i in (1, 2)] + \
         [P.Role("dia", i) for i in (1, 2)]
@@ -63,6 +65,12 @@ def _extensions(abox, rng):
     a_c, x_c = P.fresh_names(fresh)
     out.append(("create", (P.member(a_c, fresh), P.member(x_c, fresh)),
                 P.BASE_RULES))
+    for c1, c2 in fuzz.subsumption_pairs(abox)[:1]:
+        for lhs in (c1, P.meet(c1, c1)):
+            out.append((f"negsub {lhs} {c2}",
+                        [P.member(n, c) for c in (lhs, c2)
+                         for n in P.fresh_names(c)],
+                        _rules(P.SubsumptionRule(lhs, c2))))
     out.append(("extras", (), _rules(*fuzz.sample_extras(rng, abox))))
     return out
 

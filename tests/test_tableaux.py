@@ -160,6 +160,24 @@ class TestExtraRules:
         assert run.provenance[copied] == (label, (premise,))
         assert run.stats[label] == 1
 
+    def test_subsumption_rule(self):
+        rule = P.SubsumptionRule(D, E)
+        rules = P.add_extra_rule(P.BASE_RULES, rule)
+        abox = {P.member(b, D), P.member(y, E)}
+        assert rule.label == "SUB(D,E)" and rule.individuals() == ()
+        for start in (None, P.check_consistency(abox)):
+            run = P.saturate(abox, rules, start=start)
+            assert run.is_consistent
+            assert run.provenance[P.member(b, E)] == \
+                ("SUB(D,E)", (P.member(b, D),))
+            assert run.provenance[P.member(y, D)] == \
+                ("SUB(D,E)", (P.member(y, E),))
+            # the concepts must occur, or their creation pairs be missing
+            with pytest.raises(UnsupportedRuleError):
+                P.saturate(abox, P.add_extra_rule(
+                    P.BASE_RULES, P.SubsumptionRule(D, P.atom("F"))),
+                    start=start)
+
     def test_cross_sort_copy_rule_is_rejected(self):
         with pytest.raises(UnsupportedRuleError):
             P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, y))
