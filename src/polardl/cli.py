@@ -8,8 +8,9 @@ Subcommands:
     trace KB                 dump the full derivation as JSON lines
 
 Machine-readable output goes to stdout, diagnostics to stderr.  With
---format json every path prints a JSON document, including errors.
-Identical invocations produce byte-identical output.
+--format json every path prints a JSON document, including errors other
+than argparse usage errors.  Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -28,19 +29,76 @@ from .syntax import Role
 from . import syntax as S
 
 
+# the destinations of the query flags, at most one per query
+_QUERIES = ("rel", "list_related", "member", "list_members", "subsume",
+            "disj", "sep", "sep_rel", "dif", "identity", "equiv")
+# modifier destination -> the queries it changes
+_MODIFIERS = {"neg": ("rel", "member", "subsume"),
+              "side": ("list_related", "list_members"),
+              "include_synthetic": ("list_related", "list_members"),
+              "role": ("dif",)}
+
+
+def _query_flags() -> argparse.ArgumentParser:
+    """The flags of one query, shared by `ask` and --batch lines."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--trace", action="store_true")
+    p.add_argument("--include-synthetic", action="store_true",
+                   help="also list synthetic names (list queries)")
+    p.add_argument("--neg", action="store_true",
+                   help="negate a --rel/--member/--subsume query")
+    p.add_argument("--side", default=None,
+                   help="left|right for --list-related, extent|intent for --list-members")
+    p.add_argument("--role", default=None, help="role for --dif (default I)")
+    q = p.add_mutually_exclusive_group()
+    q.add_argument("--rel", nargs=3, metavar=("LHS", "ROLE", "RHS"))
+    q.add_argument("--list-related", nargs=2, metavar=("NAME", "ROLE"))
+    q.add_argument("--member", nargs=2, metavar=("NAME", "CONCEPT"))
+    q.add_argument("--list-members", nargs=1, metavar="CONCEPT")
+    q.add_argument("--subsume", nargs=2, metavar=("C1", "C2"))
+    q.add_argument("--disj", action="append", metavar="TERM",
+                   help="repeatable positive term; true if any is entailed")
+    q.add_argument("--sep", nargs=3, metavar=("ROLE", "FIRST", "SECOND"))
+    q.add_argument("--sep-rel", nargs=3, metavar=("LHSROLE", "RHSROLE", "PIVOT"))
+    q.add_argument("--dif", nargs=2, metavar=("FIRST", "SECOND"))
+    q.add_argument("--identity", nargs=2, metavar=("FIRST", "SECOND"))
+    q.add_argument("--equiv", metavar="OTHER_KB")
+    return p
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_query(args, error):
+    """Reject, through the parser's `error`, a modifier on a query it does
+    not change, and a query flag or modifier beside --batch."""
+    query = next((q for q in _QUERIES if getattr(args, q) is not None), None)
+    given = [m for m in _MODIFIERS if getattr(args, m) not in (None, False)]
+    if getattr(args, "batch", None) is not None and (query or given):
+        error(f"{_flag(query or given[0])} is not allowed with --batch; "
+              "put it on the batch lines")
+    for m in given:
+        if query not in _MODIFIERS[m]:
+            error(f"{_flag(m)} applies only to "
+                  + ", ".join(map(_flag, _MODIFIERS[m])))
+
+
 class _LineParser(argparse.ArgumentParser):
     """Parses one --batch line: a bad line, -h included, raises instead of
     printing to stdout or exiting the process."""
 
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, **kwargs)
+    def __init__(self):
+        super().__init__(prog="polardl ask --batch line", add_help=False,
+                         parents=[_query_flags()])
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
 
-def _arg_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    ap = cls(prog="polardl", description="lattice description logic reasoner")
+def _arg_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="polardl", description="lattice description logic reasoner")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -53,30 +111,13 @@ def _arg_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p_check.add_argument("--trace", action="store_true",
                          help="include the full derivation")
 
-    p_ask = sub.add_parser("ask", help="answer a query")
+    p_ask = sub.add_parser("ask", help="answer a query",
+                           parents=[_query_flags()])
     common(p_ask)
-    p_ask.add_argument("--trace", action="store_true")
-    p_ask.add_argument("--include-synthetic", action="store_true")
-    p_ask.add_argument("--neg", action="store_true",
-                       help="negate a --rel/--member/--subsume query")
-    p_ask.add_argument("--rel", nargs=3, metavar=("LHS", "ROLE", "RHS"))
-    p_ask.add_argument("--list-related", nargs=2, metavar=("NAME", "ROLE"))
-    p_ask.add_argument("--side", default=None,
-                       help="left|right for --list-related, extent|intent for --list-members")
-    p_ask.add_argument("--member", nargs=2, metavar=("NAME", "CONCEPT"))
-    p_ask.add_argument("--list-members", nargs=1, metavar="CONCEPT")
-    p_ask.add_argument("--subsume", nargs=2, metavar=("C1", "C2"))
-    p_ask.add_argument("--disj", action="append", metavar="TERM",
-                       help="repeatable positive term; true if any is entailed")
-    p_ask.add_argument("--sep", nargs=3, metavar=("ROLE", "FIRST", "SECOND"))
-    p_ask.add_argument("--sep-rel", nargs=3, metavar=("LHSROLE", "RHSROLE", "PIVOT"))
-    p_ask.add_argument("--dif", nargs=2, metavar=("FIRST", "SECOND"))
-    p_ask.add_argument("--role", default="I",
-                       help="role for --dif (default I)")
-    p_ask.add_argument("--identity", nargs=2, metavar=("FIRST", "SECOND"))
-    p_ask.add_argument("--equiv", metavar="OTHER_KB")
+    p_ask.set_defaults(usage_error=p_ask.error)
     p_ask.add_argument("--batch", metavar="FILE",
-                       help="file of ask argument lines, one query per line")
+                       help="file of query lines, one query per line; "
+                            "--trace applies to every line")
 
     p_model = sub.add_parser("model", help="export the saturated model")
     common(p_model)
@@ -86,14 +127,6 @@ def _arg_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="dump the derivation")
     common(p_trace)
     return ap
-
-
-def _emit(payload: dict, fmt: str, text_lines):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _load(path: str) -> KnowledgeBase:
@@ -136,56 +169,52 @@ def _cmd_check(args) -> int:
         payload["clash"] = None
     if args.trace:
         payload["trace"] = _steps_payload(comp.steps())
-    _emit(payload, args.format, lines)
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
     return 0 if comp.is_consistent else 1
 
 
 def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
-    side = args.side
+    neg = "negative-" if args.neg else ""
     if args.rel:
         lhs = parse_individual(args.rel[0], kb)
         role = Role.parse(args.rel[1])
         rhs = parse_individual(args.rel[2], kb)
         if args.neg:
             ans = engine.ask_negative_relational(S.rel(role, lhs, rhs))
-            query = {"type": "negative-relational",
-                     "term": str(S.rel(role, lhs, rhs))}
         else:
             ans = engine.ask_relational(lhs, role, rhs)
-            query = {"type": "relational", "term": str(S.rel(role, lhs, rhs))}
+        query = {"type": neg + "relational", "term": str(S.rel(role, lhs, rhs))}
     elif args.list_related:
         anchor = parse_individual(args.list_related[0], kb)
         role = Role.parse(args.list_related[1])
-        ans = engine.list_related(anchor, role, side or "right",
+        side = args.side or "right"
+        ans = engine.list_related(anchor, role, side,
                                   include_synthetic=args.include_synthetic)
         query = {"type": "list-related", "anchor": str(anchor),
-                 "role": str(role), "side": side or "right"}
+                 "role": str(role), "side": side}
     elif args.member:
         ind = parse_individual(args.member[0], kb)
         concept = parse_concept(args.member[1], kb)
-        if args.neg:
-            ans = engine.ask_negative_membership(ind, concept)
-            query = {"type": "negative-membership", "individual": str(ind),
-                     "concept": str(concept)}
-        else:
-            ans = engine.ask_membership(ind, concept)
-            query = {"type": "membership", "individual": str(ind),
-                     "concept": str(concept)}
+        ans = (engine.ask_negative_membership if args.neg
+               else engine.ask_membership)(ind, concept)
+        query = {"type": neg + "membership", "individual": str(ind),
+                 "concept": str(concept)}
     elif args.list_members:
         concept = parse_concept(args.list_members[0], kb)
-        ans = engine.list_members(concept, side or "extent",
+        side = args.side or "extent"
+        ans = engine.list_members(concept, side,
                                   include_synthetic=args.include_synthetic)
         query = {"type": "list-members", "concept": str(concept),
-                 "side": side or "extent"}
+                 "side": side}
     elif args.subsume:
         c1 = parse_concept(args.subsume[0], kb)
         c2 = parse_concept(args.subsume[1], kb)
-        if args.neg:
-            ans = engine.ask_negative_subsumption(c1, c2)
-            query = {"type": "negative-subsumption", "c1": str(c1), "c2": str(c2)}
-        else:
-            ans = engine.ask_subsumption(c1, c2)
-            query = {"type": "subsumption", "c1": str(c1), "c2": str(c2)}
+        ans = (engine.ask_negative_subsumption if args.neg
+               else engine.ask_subsumption)(c1, c2)
+        query = {"type": neg + "subsumption", "c1": str(c1), "c2": str(c2)}
     elif args.disj:
         terms = [parse_term(t, kb) for t in args.disj]
         ans = engine.ask_disjunctive(terms)
@@ -207,9 +236,10 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
     elif args.dif:
         first = parse_individual(args.dif[0], kb)
         second = parse_individual(args.dif[1], kb)
-        ans = engine.ask_differentiation(first, second, Role.parse(args.role))
+        role = args.role or "I"
+        ans = engine.ask_differentiation(first, second, Role.parse(role))
         query = {"type": "differentiation", "first": str(first),
-                 "second": str(second), "role": args.role}
+                 "second": str(second), "role": role}
     elif args.identity:
         first = parse_individual(args.identity[0], kb)
         second = parse_individual(args.identity[1], kb)
@@ -217,7 +247,7 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
         query = {"type": "identity-distinguishable", "first": str(first),
                  "second": str(second)}
     elif args.equiv:
-        other = QueryEngine(_load(args.equiv), max_steps=args.max_steps)
+        other = QueryEngine(_load(args.equiv), max_steps=engine.max_steps)
         ans = engine.ask_equivalence(other)
         query = {"type": "equivalence", "other": args.equiv}
     else:
@@ -234,15 +264,16 @@ def _cmd_ask(args) -> int:
     if args.batch:
         # a bad line gets an error record and the batch goes on; exit 2
         # when any line failed
-        ap = _arg_parser(_LineParser)
+        ap = _LineParser()
         with open(args.batch, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh
                      if ln.strip() and not ln.strip().startswith("#")]
         failed = False
         for line in lines:
             try:
-                sub = ap.parse_args(["ask", args.kb] + shlex.split(line))
-                sub.format = args.format
+                sub = ap.parse_args(shlex.split(line))
+                _check_query(sub, ap.error)
+                sub.trace = sub.trace or args.trace
                 payload = _run_ask_query(sub, kb, engine)
             except (PolardlError, ValueError, RecursionError,
                     argparse.ArgumentError) as exc:
@@ -290,6 +321,8 @@ def _cmd_trace(args) -> int:
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
+    if args.command == "ask":
+        _check_query(args, args.usage_error)
     try:
         if args.command == "check":
             return _cmd_check(args)

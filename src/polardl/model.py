@@ -91,6 +91,15 @@ class Polarity:
             out |= 1 << i
         return out
 
+    def index(self, ind) -> int:
+        """The position of an individual in the carrier of its sort."""
+        obj = ind.sort == S.OBJ
+        i = (self.obj_index if obj else self.feat_index).get(ind)
+        if i is None:
+            raise UnknownNameError(
+                f"unknown {'object' if obj else 'feature'} {ind}")
+        return i
+
     def obj_set(self, mask: int) -> frozenset:
         return frozenset(self.objects[i] for i in _bits(mask))
 
@@ -195,33 +204,15 @@ def check_satisfies(m: Model, t: S.Assertion) -> bool:
     p = m.polarity
     if t.kind == S.NEG:
         return not check_satisfies(m, t.inner)
-    if t.kind == S.MEM_OBJ:
-        bi = p.obj_index.get(t.ind)
-        if bi is None:
-            raise UnknownNameError(f"unknown object {t.ind}")
-        ext, _ = m.interpret_mask(t.concept)
-        return bool(ext >> bi & 1)
-    if t.kind == S.MEM_FEAT:
-        yi = p.feat_index.get(t.ind)
-        if yi is None:
-            raise UnknownNameError(f"unknown feature {t.ind}")
-        _, intent = m.interpret_mask(t.concept)
-        return bool(intent >> yi & 1)
     if t.kind == S.REL_I:
         return p.has(t.left, t.right)
-    if t.kind == S.REL_BOX:
-        bi = p.obj_index.get(t.left)
-        yi = p.feat_index.get(t.right)
-        if bi is None or yi is None:
-            raise UnknownNameError(f"unknown pair in {t}")
-        rows = m.box_rows.get(t.index)
-        return bool(rows and rows[bi] >> yi & 1)
-    yi = p.feat_index.get(t.left)
-    bi = p.obj_index.get(t.right)
-    if bi is None or yi is None:
-        raise UnknownNameError(f"unknown pair in {t}")
-    rows = m.dia_rows.get(t.index)
-    return bool(rows and rows[yi] >> bi & 1)
+    if t.kind == S.MEM_OBJ or t.kind == S.MEM_FEAT:
+        i = p.index(t.ind)
+        ext, intent = m.interpret_mask(t.concept)
+        return bool((ext if t.kind == S.MEM_OBJ else intent) >> i & 1)
+    row, col = p.index(t.left), p.index(t.right)
+    rows = (m.box_rows if t.kind == S.REL_BOX else m.dia_rows).get(t.index)
+    return bool(rows and rows[row] >> col & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +374,7 @@ def bounded_model_search(assertions, max_objects: int = 3,
     feat_names = sorted({i for a in assertions for i in a.individuals()
                          if i.sort == S.FEAT}, key=str)
     atoms = sorted({c.name for c in concepts if c.kind == S.ATOM})
-    box_idx = set()
-    dia_idx = set()
-    for c in concepts:
-        if c.kind == S.BOX:
-            box_idx.add(c.index)
-        elif c.kind == S.DIA:
-            dia_idx.add(c.index)
-    for a in assertions:
-        t = a.inner if a.kind == S.NEG else a
-        if t.kind == S.REL_BOX:
-            box_idx.add(t.index)
-        elif t.kind == S.REL_DIA:
-            dia_idx.add(t.index)
+    box_idx, dia_idx = S.role_indices(assertions, concepts)
 
     work = 0
 
@@ -415,26 +394,12 @@ def bounded_model_search(assertions, max_objects: int = 3,
                     f_map = dict(zip(feat_names, f_asg))
                     m = _search_with_assignment(
                         assertions, axioms, elems_o, elems_f, o_map, f_map,
-                        atoms, sorted(box_idx), sorted(dia_idx), spend)
+                        atoms, box_idx, dia_idx, spend)
                     if m is not None:
                         return (m,
                                 {b: elems_o[e] for b, e in o_map.items()},
                                 {y: elems_f[e] for y, e in f_map.items()})
     return None
-
-
-def _translate(a, o_map, f_map, elems_o, elems_f):
-    if a.kind == S.NEG:
-        return S.neg(_translate(a.inner, o_map, f_map, elems_o, elems_f))
-    if a.kind == S.MEM_OBJ:
-        return S.member(elems_o[o_map[a.ind]], a.concept)
-    if a.kind == S.MEM_FEAT:
-        return S.member(elems_f[f_map[a.ind]], a.concept)
-    if a.kind == S.REL_I:
-        return S.rel_i(elems_o[o_map[a.left]], elems_f[f_map[a.right]])
-    if a.kind == S.REL_BOX:
-        return S.rel_box(a.index, elems_o[o_map[a.left]], elems_f[f_map[a.right]])
-    return S.rel_dia(a.index, elems_f[f_map[a.left]], elems_o[o_map[a.right]])
 
 
 def _search_with_assignment(assertions, axioms, elems_o, elems_f, o_map,
@@ -443,7 +408,12 @@ def _search_with_assignment(assertions, axioms, elems_o, elems_f, o_map,
     cells = [(bi, yi) for bi in range(n_obj) for yi in range(n_feat)]
     forced_on = set()
     forced_off = set()
-    translated = [_translate(a, o_map, f_map, elems_o, elems_f)
+    def element(ind):
+        if ind.sort == S.OBJ:
+            return elems_o[o_map[ind]]
+        return elems_f[f_map[ind]]
+
+    translated = [S.map_assertion(a, element, lambda c: c)
                   for a in assertions]
     for t in translated:
         inner = t.inner if t.kind == S.NEG else t

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError, SerializationError, UndeclaredRoleError
 from . import syntax as S
@@ -54,6 +55,11 @@ class KnowledgeBase:
     dia_roles: int = 0
     tbox: tuple = ()           # of TBoxAxiom
     abox: frozenset = field(default_factory=frozenset)  # of S.Assertion
+
+    @cached_property
+    def declared(self) -> tuple:
+        """(object names, feature names) as sets, built once per KB."""
+        return frozenset(self.obj_names), frozenset(self.feat_names)
 
     def atom_names(self) -> set:
         names = set()
@@ -313,9 +319,9 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 
 def _context_parser(text: str, kb: KnowledgeBase) -> _Parser:
+    # reads the KB's name sets and declares nothing, so they are shared
     p = _Parser(text)
-    p.objs = {n: 0 for n in kb.obj_names}
-    p.feats = {n: 0 for n in kb.feat_names}
+    p.objs, p.feats = kb.declared
     p.box_roles = kb.box_roles
     p.dia_roles = kb.dia_roles
     return p
@@ -343,9 +349,10 @@ def parse_term(text: str, kb: KnowledgeBase) -> S.Assertion:
 
 def parse_individual(name: str, kb: KnowledgeBase) -> S.Individual:
     """Resolve a declared individual name to its sorted form."""
-    if name in kb.obj_names:
+    objs, feats = kb.declared
+    if name in objs:
         return S.named_obj(name)
-    if name in kb.feat_names:
+    if name in feats:
         return S.named_feat(name)
     raise ParseError(f"undeclared individual {name!r}")
 

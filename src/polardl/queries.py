@@ -119,19 +119,7 @@ class QueryEngine:
         if self.box_roles is not None:
             return (list(range(1, self.box_roles + 1)),
                     list(range(1, self.dia_roles + 1)))
-        box_is, dia_is = set(), set()
-        for a in self.abox:
-            t = a.inner if a.kind == S.NEG else a
-            if t.kind == S.REL_BOX:
-                box_is.add(t.index)
-            elif t.kind == S.REL_DIA:
-                dia_is.add(t.index)
-        for c in S.occurring_concepts(self.abox):
-            if c.kind == S.BOX:
-                box_is.add(c.index)
-            elif c.kind == S.DIA:
-                dia_is.add(c.index)
-        return sorted(box_is), sorted(dia_is)
+        return S.role_indices(self.abox, self.completion.occurring)
 
     def _completion_with_concepts(self, concepts) -> T.Completion:
         """The cached completion when every concept already occurs; else
@@ -164,6 +152,9 @@ class QueryEngine:
                      include_synthetic: bool = False) -> Answer:
         """All individuals related to the anchor under the role, on the
         given side; original names only unless include_synthetic."""
+        if side not in ("right", "left"):
+            raise UnsupportedQueryError(
+                f"side must be 'right' or 'left', not {side!r}")
         self._require_consistent()
         self._known(anchor)
         found = self.completion.related(role, anchor, side)
@@ -189,6 +180,9 @@ class QueryEngine:
 
     def list_members(self, c: S.Concept, side: str = "extent", *,
                      include_synthetic: bool = False) -> Answer:
+        if side not in ("extent", "intent"):
+            raise UnsupportedQueryError(
+                f"side must be 'extent' or 'intent', not {side!r}")
         c = self._expand(c)
         run = self._completion_with_concepts([c])
         a_c, x_c = T.fresh_names(c)
@@ -214,6 +208,11 @@ class QueryEngine:
         fact = S.rel_i(a_c1, x_c2)
         return _fact_answer(fact, fact in run)
 
+    def _ask_positive(self, t: S.Assertion) -> Answer:
+        if t.kind in (S.MEM_OBJ, S.MEM_FEAT):
+            return self.ask_membership(t.ind, t.concept)
+        return self.ask_relational(t.left, Role.of(t), t.right)
+
     def ask_disjunctive(self, terms) -> Answer:
         """Disjunction of positive queries: true iff some disjunct is
         individually entailed."""
@@ -222,14 +221,7 @@ class QueryEngine:
             if t.kind == S.NEG:
                 raise UnsupportedQueryError(
                     "disjunctive queries take negation-free terms")
-            if t.kind in (S.MEM_OBJ, S.MEM_FEAT):
-                sub = self.ask_membership(t.ind, t.concept)
-            elif t.kind == S.REL_I:
-                sub = self.ask_relational(t.left, Role("I"), t.right)
-            elif t.kind == S.REL_BOX:
-                sub = self.ask_relational(t.left, Role("box", t.index), t.right)
-            else:
-                sub = self.ask_relational(t.left, Role("dia", t.index), t.right)
+            sub = self._ask_positive(t)
             answers.append((t, sub))
             if sub.value:
                 return Answer(True, {"kind": "disjunct", "witness": str(t),
@@ -358,13 +350,7 @@ class QueryEngine:
             return self.ask_negative_membership(inner.ind, inner.concept).value
         if any(i not in known for i in t.individuals()):
             return False
-        if t.kind in (S.MEM_OBJ, S.MEM_FEAT):
-            return self.ask_membership(t.ind, t.concept).value
-        if t.kind == S.REL_I:
-            return self.ask_relational(t.left, Role("I"), t.right).value
-        if t.kind == S.REL_BOX:
-            return self.ask_relational(t.left, Role("box", t.index), t.right).value
-        return self.ask_relational(t.left, Role("dia", t.index), t.right).value
+        return self._ask_positive(t).value
 
     def ask_equivalence(self, other) -> Answer:
         """Are the two ABoxes equivalent: every term of each entailed by

@@ -404,6 +404,20 @@ class Role:
             return "I"
         return ("Rbox" if self.kind == "box" else "Rdia") + str(self.index)
 
+    @property
+    def fact_kind(self) -> str:
+        """The assertion kind of this role's facts."""
+        if self.kind == "I":
+            return REL_I
+        return REL_BOX if self.kind == "box" else REL_DIA
+
+    @classmethod
+    def of(cls, a: "Assertion") -> "Role":
+        """The role of a relational assertion."""
+        if a.kind == REL_I:
+            return cls("I")
+        return cls("box" if a.kind == REL_BOX else "dia", a.index)
+
     @classmethod
     def parse(cls, text: str) -> "Role":
         if text == "I":
@@ -454,10 +468,6 @@ class Assertion:
     @property
     def is_relational(self) -> bool:
         return self.kind in RELATIONAL_KINDS
-
-    @property
-    def is_negative(self) -> bool:
-        return self.kind == NEG
 
     def individuals(self):
         if self.kind == NEG:
@@ -537,6 +547,16 @@ def rel(role: Role, left: Individual, right: Individual) -> Assertion:
     return rel_dia(role.index, left, right)
 
 
+def map_assertion(a: Assertion, on_individual, on_concept) -> Assertion:
+    """The same assertion over on_individual(i) for each individual i and
+    on_concept(c) for its concept c; kind, role and negation are kept."""
+    if a.kind == NEG:
+        return neg(map_assertion(a.inner, on_individual, on_concept))
+    if a.kind in (MEM_OBJ, MEM_FEAT):
+        return member(on_individual(a.ind), on_concept(a.concept))
+    return rel(Role.of(a), on_individual(a.left), on_individual(a.right))
+
+
 # ---------------------------------------------------------------------------
 # Depth profiles and ABox-level measures
 # ---------------------------------------------------------------------------
@@ -552,28 +572,26 @@ def depth_profile(e) -> DepthProfile:
     return DepthProfile(e.box_depth, e.dia_depth)
 
 
-def membership_concepts(assertions) -> set:
-    """Top-level concepts of all (possibly negated) membership terms."""
-    out = set()
-    for a in assertions:
-        t = a.inner if a.kind == NEG else a
-        if t.kind in (MEM_OBJ, MEM_FEAT):
-            out.add(t.concept)
-    return out
-
-
 def occurring_concepts(assertions) -> frozenset:
     """Every concept occurring in the assertion set: subterm closure of
     the concepts in membership terms, positive or negated."""
-    out = set()
-    for c in membership_concepts(assertions):
-        out |= subconcepts(c)
-    return frozenset(out)
+    terms = (a.inner if a.kind == NEG else a for a in assertions)
+    tops = {t.concept for t in terms if t.kind in (MEM_OBJ, MEM_FEAT)}
+    return frozenset().union(*map(subconcepts, tops))
 
 
 def occurs_in(c: Concept, assertions) -> bool:
     """True iff c occurs in the assertion set (as a membership subterm)."""
     return c in occurring_concepts(assertions)
+
+
+def role_indices(assertions, concepts) -> tuple:
+    """The sorted box and dia role indices of the relational assertions,
+    negated ones included, and of the concepts."""
+    terms = [a.inner if a.kind == NEG else a for a in assertions]
+    return tuple(sorted({t.index for t in terms if t.kind == fact}
+                        | {c.index for c in concepts if c.kind == op})
+                 for fact, op in ((REL_BOX, BOX), (REL_DIA, DIA)))
 
 
 def individuals_in(assertions) -> set:

@@ -62,14 +62,16 @@ its concept).  A run without extra rules never looks a fact up.
 Negative assertions never match a positive premise: they only feed
 neg_b/neg_x and clash detection.
 
-Resumption: ``saturate(..., start=comp)`` continues from the consistent
-completion comp, on copies of its indexes, and fires only what the delta
-enables: each new extra rule on the existing facts of its triggers, the
-new inputs, creation for newly occurring concepts, and and_inv/or_inv
-for newly occurring meets and joins over their operands' members.  Every
-fact of comp has fired, rules are monotone and side conditions only
-grow, so the verdict and a consistent fixpoint equal a run from
-scratch; a clashing run may stop at another partial set.
+Resumption: every run resumes a finished run, on copies of its indexes.
+``saturate(..., start=comp)`` resumes the consistent completion comp; a
+run from scratch resumes the empty run.  A run fires only what the
+delta enables: each new extra rule on the base facts of its triggers,
+the new inputs, creation for newly occurring concepts, and
+and_inv/or_inv for newly occurring meets and joins over pairs of base
+memberships (a pair with a new member fires in the loop).  Every base
+fact has fired, rules are monotone and side conditions only grow, so
+the verdict and a consistent fixpoint equal a run from scratch; a
+clashing run may stop at another partial set.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ from .syntax import Role
 # ---------------------------------------------------------------------------
 # Extra (separation) rules
 # ---------------------------------------------------------------------------
-
-_FACT_KIND = {"I": S.REL_I, "box": S.REL_BOX, "dia": S.REL_DIA}
-
 
 @dataclass(frozen=True)
 class CopyRule:
@@ -111,7 +110,7 @@ class CopyRule:
 
     @property
     def triggers(self):
-        return ((_FACT_KIND[self.role.kind], self.role.index, self.src),)
+        return ((self.role.fact_kind, self.role.index, self.src),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         if a.left is self.src:
@@ -147,7 +146,7 @@ class RelationInclusionRule:
 
     @property
     def triggers(self):
-        return ((_FACT_KIND[self.lhs.kind], self.lhs.index, self.pivot),)
+        return ((self.lhs.fact_kind, self.lhs.index, self.pivot),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         # the pivot heads the premise: b Rboxi y or y Rdiai b
@@ -235,7 +234,8 @@ class Completion:
     occurring: frozenset              # concepts occurring in the input
     abox_depth: S.DepthProfile
     rules: RuleSet
-    _index: dict = field(default_factory=dict, repr=False)
+    # the individuals of the input assertions, shared with the run
+    _individuals: frozenset = field(repr=False, compare=False)
     # the finished run of a consistent completion, for saturate(start=...)
     _saturation: object = field(default=None, repr=False, compare=False)
 
@@ -250,27 +250,22 @@ class Completion:
         return [a for a in self.assertions if a.kind != S.NEG]
 
     def objects(self):
-        return self._carrier(S.OBJ)
+        return self._carriers[0]
 
     def features(self):
-        return self._carrier(S.FEAT)
+        return self._carriers[1]
 
-    def _carrier(self, sort):
-        key = ("carrier", sort)
-        if key not in self._index:
-            seen = {}
-            for a in self.assertions:
-                for ind in a.individuals():
-                    if ind.sort == sort:
-                        seen[ind] = None
-            self._index[key] = tuple(seen)
-        return self._index[key]
+    @cached_property
+    def _carriers(self) -> tuple:
+        """(objects, features), each in order of first occurrence."""
+        objs, feats = {}, {}
+        for a in self.assertions:
+            for ind in a.individuals():
+                (objs if ind.sort == S.OBJ else feats)[ind] = None
+        return tuple(objs), tuple(feats)
 
-    def original_individuals(self):
-        if "orig" not in self._index:
-            self._index["orig"] = frozenset(
-                S.individuals_in(self.input_assertions))
-        return self._index["orig"]
+    def original_individuals(self) -> frozenset:
+        return self._individuals
 
     @cached_property
     def invariant_violations(self) -> tuple:
@@ -299,7 +294,7 @@ class Completion:
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
         (n, anchor) fact (side 'left') for the given role."""
-        kind, index = _FACT_KIND[role.kind], role.index
+        kind, index = role.fact_kind, role.index
         out = []
         for a in self.assertions:
             if a.kind != kind or a.index != index:
@@ -348,15 +343,17 @@ class Completion:
 # ---------------------------------------------------------------------------
 
 class _Saturation:
-    def __init__(self, inputs, rules: RuleSet, max_steps, shuffle_seed,
-                 occurring=None):
+    def __init__(self, inputs: frozenset, rules: RuleSet, max_steps,
+                 shuffle_seed, occurring: frozenset, individuals: frozenset):
         self.rules = rules
         self.max_steps = max_steps
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-        self.inputs = frozenset(inputs)
+        self.inputs = inputs
+        self.occurring = occurring
+        self.individuals = individuals   # of the inputs
 
-        self.store: dict = {}        # assertion -> (rule, premises)
-        self.order: list = []
+        # assertion -> (rule, premises), in completion order
+        self.store: dict = {}
         self.neg_relational: dict = {}   # relational terms under a negation
         self.obj_mem: dict = {}      # b -> {C: None}
         self.feat_mem: dict = {}
@@ -369,8 +366,6 @@ class _Saturation:
         self.steps = 0               # facts fired
         self.worklist = deque()
 
-        self.occurring = (S.occurring_concepts(self.inputs)
-                          if occurring is None else occurring)
         # `occurring` iterates in id-hash order; every walk over it goes
         # through this list so that the completion order follows the input
         self.occurring_sorted = sorted(self.occurring, key=str)
@@ -381,14 +376,12 @@ class _Saturation:
         self.meet_partners: dict = {}   # operand -> [(meet, other operand)]
         self.join_partners: dict = {}
         for c in self.occurring_sorted:
-            if c.kind == S.MEET:
-                self.meet_partners.setdefault(c.left, []).append((c, c.right))
+            if c.kind == S.MEET or c.kind == S.JOIN:
+                partners = (self.meet_partners if c.kind == S.MEET
+                            else self.join_partners)
+                partners.setdefault(c.left, []).append((c, c.right))
                 if c.right is not c.left:
-                    self.meet_partners.setdefault(c.right, []).append((c, c.left))
-            elif c.kind == S.JOIN:
-                self.join_partners.setdefault(c.left, []).append((c, c.right))
-                if c.right is not c.left:
-                    self.join_partners.setdefault(c.right, []).append((c, c.left))
+                    partners.setdefault(c.right, []).append((c, c.left))
 
         self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
         for extra in rules.extras:
@@ -396,15 +389,16 @@ class _Saturation:
                 self.extra_rules.setdefault(key, []).append(
                     (extra.conclude, extra.label))
 
-    def fork(self, inputs, rules: RuleSet, max_steps, shuffle_seed):
+    def fork(self, inputs: frozenset, rules: RuleSet, max_steps,
+             shuffle_seed):
         """A run over the given inputs and rules that starts from this
         finished run's facts; the indexes are copied, so this run is
         never written."""
+        delta = inputs - self.inputs
         run = _Saturation(inputs, rules, max_steps, shuffle_seed,
-                          self.occurring | S.occurring_concepts(
-                              frozenset(inputs) - self.inputs))
+                          self.occurring | S.occurring_concepts(delta),
+                          self.individuals | S.individuals_in(delta))
         run.store = dict(self.store)
-        run.order = list(self.order)
         run.neg_relational = dict(self.neg_relational)
         run.stats = dict(self.stats)
         run.steps = self.steps
@@ -417,9 +411,10 @@ class _Saturation:
     @cached_property
     def relational_at(self) -> dict:
         """Individual -> the positive relational facts it is an end of, in
-        completion order; built on the first resume with new extras."""
+        completion order; built on the first resume with new relational
+        extras."""
         out: dict = {}
-        for a in self.order:
+        for a in self.store:
             if a.is_relational:
                 out.setdefault(a.left, []).append(a)
                 out.setdefault(a.right, []).append(a)
@@ -442,7 +437,6 @@ class _Saturation:
         if a in self.store or self.clash is not None:
             return
         self.store[a] = (rule, premises)
-        self.order.append(a)
         self.stats[rule] = self.stats.get(rule, 0) + 1
         self.worklist.append(a)
         if a.kind == S.NEG:
@@ -576,10 +570,10 @@ class _Saturation:
 
     # -- main loop -----------------------------------------------------------
 
-    def _check_extras(self, extras, present):
+    def _check_extras(self, extras):
         for extra in extras:
             for ind in extra.individuals():
-                if ind not in present:
+                if ind not in self.individuals:
                     raise UnknownIndividualError(
                         f"extra rule names {ind}, which does not occur in the ABox")
             if isinstance(extra, SubsumptionRule) and not (
@@ -594,37 +588,29 @@ class _Saturation:
             self.add(S.member(a_c, c), "create", ())
             self.add(S.member(x_c, c), "create", ())
 
-    def run(self) -> Completion:
-        self._check_extras(self.rules.extras, S.individuals_in(self.inputs))
-        for a in sorted(self.inputs, key=str):
-            self.add(a, "input", ())
-        self._create(self.occurring_sorted)
-        return self._loop()
-
-    def resume(self, start: Completion) -> Completion:
-        """Fire what the delta adds to `start`, forked into this run."""
-        base = start._saturation
+    def resume(self, base: "_Saturation") -> Completion:
+        """Fire what the delta adds to the finished run `base`, forked
+        into this run."""
         new_extras = self.rules.extras[len(base.rules.extras):]
-        delta = sorted(self.inputs - base.inputs, key=str)
-        self._check_extras(new_extras, start.original_individuals()
-                           | S.individuals_in(delta))
+        self._check_extras(new_extras)
         for extra in new_extras:
             for key in extra.triggers:
                 for a in base.facts_at(key):
                     self.add(extra.conclude(a), extra.label, (a,))
-        for a in delta:
+        for a in sorted(self.inputs - base.inputs, key=str):
             self.add(a, "input", ())
         fresh = [c for c in self.occurring_sorted if c not in base.occurring]
         self._create(fresh)
+        # operand pairs of base facts only: the others fire in the loop
         for c in fresh:
             if c.kind == S.MEET:
-                for b in list(self.obj_of.get(c.left, ())):
-                    if c.right in self.obj_mem[b]:
+                for b in base.obj_of.get(c.left, ()):
+                    if c.right in base.obj_mem[b]:
                         self.add(S.member(b, c), "and_inv",
                                  (S.member(b, c.left), S.member(b, c.right)))
             elif c.kind == S.JOIN:
-                for y in list(self.feat_of.get(c.left, ())):
-                    if c.right in self.feat_mem[y]:
+                for y in base.feat_of.get(c.left, ()):
+                    if c.right in base.feat_mem[y]:
                         self.add(S.member(y, c), "or_inv",
                                  (S.member(y, c.left), S.member(y, c.right)))
         return self._loop()
@@ -648,15 +634,22 @@ class _Saturation:
 
         return Completion(
             input_assertions=self.inputs,
-            assertions=tuple(self.order),
+            assertions=tuple(self.store),
             provenance=self.store,
             clash=self.clash,
             stats=self.stats,
             occurring=self.occurring,
             abox_depth=self.abox_depth,
             rules=self.rules,
+            _individuals=self.individuals,
             _saturation=self if self.clash is None else None,
         )
+
+
+# the base of every run from scratch: no inputs, facts or extras; runs
+# fork it, so it stays empty
+_EMPTY = _Saturation(frozenset(), BASE_RULES, None, None, frozenset(),
+                     frozenset())
 
 
 def saturate(assertions, rules: RuleSet = BASE_RULES, *,
@@ -671,16 +664,16 @@ def saturate(assertions, rules: RuleSet = BASE_RULES, *,
 
     `start`, a consistent completion of a subset of the assertions under
     a prefix of the rules' extras, is resumed (see above); max_steps then
-    counts its steps too.  Any other `start` raises ValueError.
+    counts its steps too.  Any other `start` raises ValueError.  Without
+    `start`, the empty run is resumed.
     """
-    if start is None:
-        return _Saturation(assertions, rules, max_steps, shuffle_seed).run()
-    base, inputs = start._saturation, frozenset(assertions)
+    base = _EMPTY if start is None else start._saturation
+    inputs = frozenset(assertions)
     if (base is None or not base.inputs <= inputs
             or rules.extras[:len(base.rules.extras)] != base.rules.extras):
         raise ValueError("start must be a consistent completion of a subset "
                          "of the assertions under a prefix of the extras")
-    return base.fork(inputs, rules, max_steps, shuffle_seed).resume(start)
+    return base.fork(inputs, rules, max_steps, shuffle_seed).resume(base)
 
 
 def check_consistency(assertions, **kwargs) -> Completion:

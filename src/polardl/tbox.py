@@ -151,18 +151,8 @@ def substitute_individual(ind: S.Individual, mapping: dict) -> S.Individual:
 
 
 def substitute_assertion(a: S.Assertion, mapping: dict) -> S.Assertion:
-    if a.kind == S.NEG:
-        return S.neg(substitute_assertion(a.inner, mapping))
-    if a.kind in (S.MEM_OBJ, S.MEM_FEAT):
-        return S.member(substitute_individual(a.ind, mapping),
-                        substitute_concept(a.concept, mapping))
-    left = substitute_individual(a.left, mapping)
-    right = substitute_individual(a.right, mapping)
-    if a.kind == S.REL_I:
-        return S.rel_i(left, right)
-    if a.kind == S.REL_BOX:
-        return S.rel_box(a.index, left, right)
-    return S.rel_dia(a.index, left, right)
+    return S.map_assertion(a, lambda i: substitute_individual(i, mapping),
+                           lambda c: substitute_concept(c, mapping))
 
 
 def unravel(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> frozenset:

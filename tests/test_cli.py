@@ -18,7 +18,10 @@ def run_cli(*argv):
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:       # an argparse usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -168,6 +171,35 @@ class TestAsk:
         else:
             assert out == ""
 
+    @pytest.mark.parametrize("query, message", [
+        (("--neg", "--dif", "m2", "m4"), "--neg applies only to"),
+        (("--neg", "--list-related", "m3", "I"), "--neg applies only to"),
+        (("--rel", "m3", "I", "f4", "--member", "m1", "IM"),
+         "not allowed with argument --rel"),
+        (("--sep", "I", "m4", "m2", "--dif", "m2", "m4"),
+         "not allowed with argument --sep"),
+        (("--member", "m1", "IM", "--role", "Rbox1"), "--role applies only"),
+        (("--sep", "I", "m4", "m2", "--role", "Rbox1"), "--role applies only"),
+        (("--member", "m1", "IM", "--side", "left"), "--side applies only"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ignored_flag_is_a_usage_error(self, query, message, fmt):
+        code, out, err = run_cli("ask", MOVIES, *query, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unknown_side_is_an_error(self, fmt):
+        code, out, err = run_cli("ask", MOVIES, "--list-related", "m3", "I",
+                                 "--side", "bogus", "--format", fmt)
+        assert code == 2
+        assert err.startswith("error: ") and "side" in err
+        if fmt == "json":
+            assert json.loads(out)["error"]["type"] == "UnsupportedQueryError"
+        else:
+            assert out == ""
+
     def test_batch(self, tmp_path):
         batch = tmp_path / "queries.txt"
         batch.write_text("--list-related m3 I\n"
@@ -199,6 +231,57 @@ class TestAsk:
         assert docs[1]["error"]["message"]
         assert docs[2]["answer"] is True
         assert bad in err
+
+
+    @pytest.mark.parametrize("bad, message", [
+        ("--neg --dif m2 m4", "--neg applies only to"),
+        ("--rel m3 I f4 --member m1 IM", "not allowed with argument --rel"),
+        ("--member m1 IM --role Rbox1", "--role applies only"),
+        ("--dif m2 m4 --max-steps 1", "unrecognized arguments"),
+        ("--dif m2 m4 --format text", "unrecognized arguments"),
+        ("--dif m2 m4 --batch other.txt", "unrecognized arguments"),
+    ])
+    def test_batch_line_takes_query_flags_only(self, tmp_path, bad, message):
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"--list-related m3 I\n{bad}\n--dif m2 m4\n")
+        code, out, _ = run_cli("ask", MOVIES, "--batch", str(batch))
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d.get("answer") for d in docs] == [["f4", "f6"], None, True]
+        assert docs[1]["error"]["type"] == "ArgumentError"
+        assert message in docs[1]["error"]["message"]
+
+    def test_batch_unknown_side_is_an_error_record(self, tmp_path):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--list-related m3 I --side bogus\n")
+        code, out, _ = run_cli("ask", MOVIES, "--batch", str(batch))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UnsupportedQueryError"
+
+    def test_outer_trace_applies_to_every_line(self, tmp_path):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--dif m2 m4\n--list-related m3 I\n")
+        code, out, _ = run_cli("ask", MOVIES, "--batch", str(batch),
+                               "--trace")
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [s["rule"] for s in docs[0]["certificate"]["steps"]] == \
+            ["create", "and_A", "I", "SA(m4,m2)", "neg_b"]
+        assert docs[1]["certificate"]["kind"] == "facts"
+
+    @pytest.mark.parametrize("beside", [
+        ("--rel", "m3", "I", "f4"), ("--dif", "m2", "m4"), ("--neg",),
+        ("--role", "Rbox1"),
+    ])
+    def test_query_flag_beside_batch_is_a_usage_error(self, tmp_path,
+                                                      beside):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--list-related m3 I\n")
+        code, out, err = run_cli("ask", MOVIES, "--batch", str(batch),
+                                 *beside)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with --batch" in err
 
 
 class TestModelAndTrace:

@@ -47,6 +47,11 @@ class TestRelational:
     def test_list_related_left_side(self, movies_engine):
         assert movies_engine.list_related(f3, I, side="left").value == ["m1"]
 
+    @pytest.mark.parametrize("side", ["bogus", "extent", "Right"])
+    def test_list_related_rejects_an_unknown_side(self, movies_engine, side):
+        with pytest.raises(UnsupportedQueryError):
+            movies_engine.list_related(m3, I, side=side)
+
     def test_list_related_synthetic_flag(self, movies_engine):
         plain = movies_engine.list_related(m3, I).value
         rich = movies_engine.list_related(m3, I, include_synthetic=True).value
@@ -73,6 +78,11 @@ class TestMembership:
     def test_list_members(self, movies_engine):
         assert movies_engine.list_members(DM).value == ["m3"]
         assert movies_engine.list_members(MD.RDM_X, side="intent").value == ["f4"]
+
+    @pytest.mark.parametrize("side", ["left", "right", "bogus"])
+    def test_list_members_rejects_an_unknown_side(self, movies_engine, side):
+        with pytest.raises(UnsupportedQueryError):
+            movies_engine.list_members(DM, side=side)
 
     def test_list_members_fresh_atom(self, movies_engine):
         assert movies_engine.list_members(P.atom("Zed")).value == []

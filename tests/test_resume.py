@@ -7,6 +7,7 @@ import pytest
 
 import polardl as P
 from polardl import syntax as S
+from polardl import tableaux as T
 from polardl.errors import ResourceLimitError
 
 import fuzz
@@ -135,6 +136,20 @@ def test_resuming_never_writes_the_start(corpus):
                             P.CopyRule(I, objs[1], objs[0])), start=base)
     P.saturate(abox | {P.member(objs[0], P.atom("Fresh"))}, start=base)
     assert (base.assertions, base.provenance, base.stats) == before
+
+
+def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
+    abox, _ = corpus[0]
+    objs = _names(abox, S.OBJ)
+    P.saturate(abox, _rules(P.CopyRule(I, objs[0], objs[1])))
+    P.saturate(abox | {P.member(objs[0], P.atom("Fresh"))}, shuffle_seed=1)
+    empty = T._EMPTY
+    assert not (empty.inputs or empty.occurring or empty.individuals
+                or empty.rules.extras)
+    assert not (empty.store or empty.neg_relational or empty.stats
+                or empty.obj_mem or empty.feat_mem or empty.obj_of
+                or empty.feat_of or empty.box_mem or empty.dia_mem)
+    assert empty.steps == 0 and empty.clash is None
 
 
 def test_a_resumed_completion_can_be_resumed(movies_kb):

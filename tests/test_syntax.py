@@ -76,6 +76,34 @@ class TestOccurs:
         assert not P.occurs_in(D, a)
 
 
+class TestRoleIndices:
+    def test_facts_negated_facts_and_concepts(self):
+        b, y = P.named_obj("b"), P.named_feat("y")
+        abox = [P.rel_box(3, b, y), P.neg(P.rel_dia(4, y, b)), P.rel_i(b, y)]
+        concepts = P.subconcepts(P.box(1, P.dia(2, D)))
+        assert S.role_indices(abox, concepts) == ([1, 3], [2, 4])
+        assert S.role_indices(abox, ()) == ([3], [4])
+        assert S.role_indices((), P.subconcepts(P.dia(5, D))) == ([], [5])
+
+
+class TestMapAssertion:
+    def test_every_kind_keeps_its_shape(self):
+        b, d, y, z = (P.named_obj("b"), P.named_obj("d"),
+                      P.named_feat("y"), P.named_feat("z"))
+        swap = {b: d, y: z}.get
+        terms = [P.rel_i(b, y), P.rel_box(2, b, y), P.rel_dia(3, y, b),
+                 P.member(b, D), P.neg(P.member(y, P.box(1, D)))]
+        mapped = [S.map_assertion(t, lambda i: swap(i, i),
+                                  lambda c: P.meet(c, E)) for t in terms]
+        assert mapped == [P.rel_i(d, z), P.rel_box(2, d, z),
+                          P.rel_dia(3, z, d), P.member(d, P.meet(D, E)),
+                          P.neg(P.member(z, P.meet(P.box(1, D), E)))]
+        assert [S.Role.of(t) for t in terms[:3]] == \
+            [P.Role("I"), P.Role("box", 2), P.Role("dia", 3)]
+        assert [S.Role.of(t).fact_kind for t in terms[:3]] == \
+            [t.kind for t in terms[:3]]
+
+
 class TestDepth:
     def test_box_atom(self):
         assert P.depth_profile(P.box(1, D)) == P.DepthProfile(1, 0)

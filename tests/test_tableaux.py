@@ -353,6 +353,18 @@ class TestDeterminism:
         assert [str(a) for a in c1.assertions] == [str(a) for a in c2.assertions]
         assert c1.stats == c2.stats
 
+    def test_a_run_from_scratch_seeds_no_meet_before_the_loop(self):
+        # the empty base holds no membership pair, so and_inv concludes
+        # b : C1 and C2 in the loop, after what the earlier input derived
+        a, b, d = (P.named_obj(n) for n in "abd")
+        X, Y, C1, C2 = (P.atom(n) for n in ("X", "Y", "C1", "C2"))
+        comp = P.check_consistency({
+            P.member(a, P.meet(X, Y)), P.member(b, C1), P.member(b, C2),
+            P.member(d, P.meet(C1, C2))})
+        order = list(comp.assertions)
+        assert order.index(P.member(a, X)) \
+            < order.index(P.member(b, P.meet(C1, C2)))
+
     def test_trace_bytes_do_not_follow_memory_layout(self, tmp_path):
         # D is an operand of six occurring meets, so and_inv's partner list
         # decides the order in which b's meets are added.  Each interpreter
