@@ -16,8 +16,7 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
                      pad_obj, pad_feat,
                      rel_i, rel_box, rel_dia, rel, member, neg,
                      subconcepts, occurs_in, occurring_concepts,
-                     depth_profile,
-                     is_box_leading, is_dia_leading)
+                     depth_profile)
 from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)
 from .tbox import rewrite_gci, check_acyclic, unravel, definition_map

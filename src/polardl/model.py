@@ -312,21 +312,28 @@ def build_model(c: Completion) -> Model:
 # Formal-concept enumeration
 # ---------------------------------------------------------------------------
 
+def _stable_extents(p: Polarity) -> set:
+    """Every Galois-stable extent of p as a mask: the closure of the empty
+    feature set and its intersections with the feature columns."""
+    extents = {p.down_mask(0)}
+    frontier = list(extents)
+    while frontier:
+        ext = frontier.pop()
+        for col in p.cols:
+            nxt = ext & col
+            if nxt not in extents:
+                extents.add(nxt)
+                frontier.append(nxt)
+    return extents
+
+
 def enumerate_formal_concepts(p: Polarity, max_cells: int = 2000):
     """All Galois-stable (extent, intent) pairs, ordered by extent size
     then display; guarded against large contexts."""
     if len(p.objects) * len(p.features) > max_cells:
         raise BudgetExceededError("context too large to enumerate")
-    extents = {p.down_mask(0)}           # closure of the empty feature set
-    frontier = list(extents)
-    while frontier:
-        ext = frontier.pop()
-        for yi in range(len(p.features)):
-            nxt = ext & p.cols[yi]
-            if nxt not in extents:
-                extents.add(nxt)
-                frontier.append(nxt)
-    out = [(p.obj_set(e), p.feat_set(p.up_mask(e))) for e in extents]
+    out = [(p.obj_set(e), p.feat_set(p.up_mask(e)))
+           for e in _stable_extents(p)]
     out.sort(key=lambda pair: (len(pair[0]), sorted(map(str, pair[0]))))
     return out
 
@@ -469,16 +476,7 @@ def _search_with_assignment(assertions, axioms, elems_o, elems_f, o_map,
                 pairs.add(cell)
         p = Polarity(elems_o, elems_f,
                      [(elems_o[bi], elems_f[yi]) for bi, yi in pairs])
-        exts = {p.down_mask(0)}
-        frontier = list(exts)
-        while frontier:
-            e = frontier.pop()
-            for yi in range(n_feat):
-                nxt = e & p.cols[yi]
-                if nxt not in exts:
-                    exts.add(nxt)
-                    frontier.append(nxt)
-        stable_pairs = [(e, p.up_mask(e)) for e in sorted(exts)]
+        stable_pairs = [(e, p.up_mask(e)) for e in sorted(_stable_extents(p))]
 
         atom_choices = []
         for name in atoms:

@@ -112,7 +112,7 @@ class QueryEngine:
                 "queries are defined over a consistent knowledge base")
 
     def _known(self, ind: S.Individual):
-        if ind not in self.completion.original_individuals():
+        if ind not in self.completion.individuals:
             raise UnknownNameError(f"{ind} does not occur in the ABox")
 
     def _role_indices(self):
@@ -340,7 +340,7 @@ class QueryEngine:
     # -- equivalence ---------------------------------------------------------------
 
     def _entails(self, t: S.Assertion) -> bool:
-        known = self.completion.original_individuals()
+        known = self.completion.individuals
         if t.kind == S.NEG:
             inner = t.inner
             if inner.is_relational:

@@ -44,7 +44,7 @@ class Concept:
 
     __slots__ = ("kind", "name", "left", "right", "index", "child",
                  "box_depth", "dia_depth", "box_prefix", "dia_prefix", "size",
-                 "_subs", "_box_leading", "_dia_leading", "_str")
+                 "_subs", "_str")
 
     def __init__(self, kind, name=None, left=None, right=None,
                  index=None, child=None):
@@ -82,8 +82,6 @@ class Concept:
             self.dia_prefix = child.dia_prefix + 1
             self.size = 1 + child.size
         self._subs = None
-        self._box_leading = None
-        self._dia_leading = None
         self._str = None
 
     def __repr__(self):
@@ -152,40 +150,6 @@ def subconcepts(c: Concept) -> frozenset:
         else:
             c._subs = subconcepts(c.child) | {c}
     return c._subs
-
-
-def is_box_leading(c: Concept) -> bool:
-    """Least fixed point: box-of-anything over atoms, closed under box,
-    meet with anything, and join of two box-leading concepts."""
-    if c._box_leading is None:
-        if c.kind == ATOM:
-            c._box_leading = False
-        elif c.kind == BOX:
-            c._box_leading = True
-        elif c.kind == DIA:
-            c._box_leading = False
-        elif c.kind == MEET:
-            c._box_leading = is_box_leading(c.left) or is_box_leading(c.right)
-        else:
-            c._box_leading = is_box_leading(c.left) and is_box_leading(c.right)
-    return c._box_leading
-
-
-def is_dia_leading(c: Concept) -> bool:
-    """Dual of is_box_leading: closed under diamond, join with anything,
-    and meet of two diamond-leading concepts."""
-    if c._dia_leading is None:
-        if c.kind == ATOM:
-            c._dia_leading = False
-        elif c.kind == DIA:
-            c._dia_leading = True
-        elif c.kind == BOX:
-            c._dia_leading = False
-        elif c.kind == JOIN:
-            c._dia_leading = is_dia_leading(c.left) or is_dia_leading(c.right)
-        else:
-            c._dia_leading = is_dia_leading(c.left) and is_dia_leading(c.right)
-    return c._dia_leading
 
 
 # ---------------------------------------------------------------------------

@@ -63,22 +63,28 @@ Negative assertions never match a positive premise: they only feed
 neg_b/neg_x and clash detection.
 
 Resumption: every run resumes a finished run, on copies of its indexes.
-``saturate(..., start=comp)`` resumes the consistent completion comp; a
-run from scratch resumes the empty run.  A run fires only what the
-delta enables: each new extra rule on the base facts of its triggers,
-the new inputs, creation for newly occurring concepts, and
-and_inv/or_inv for newly occurring meets and joins over pairs of base
-memberships (a pair with a new member fires in the loop).  Every base
-fact has fired, rules are monotone and side conditions only grow, so
-the verdict and a consistent fixpoint equal a run from scratch; a
+The finished run is the completion: ``saturate`` returns the run
+itself.  ``saturate(..., start=comp)`` resumes the consistent
+completion comp; a run from scratch resumes the empty run.  A run fires
+only what the delta enables: each new extra rule on the base facts of
+its triggers, the new inputs, creation for newly occurring concepts,
+and and_inv/or_inv for newly occurring meets and joins over pairs of
+base memberships (a pair with a new member fires in the loop).  Every
+base fact has fired, rules are monotone and side conditions only grow,
+so the verdict and a consistent fixpoint equal a run from scratch; a
 clashing run may stop at another partial set.
+
+A completion's relational index, keyed like the extra-rule triggers,
+serves ``related`` and the seeding of new relational extras.  It is
+built once, on first use, and never copied: a fork builds its own only
+if it is read.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (ResourceLimitError, UnknownIndividualError,
@@ -219,141 +225,26 @@ def fresh_names(c: S.Concept):
 
 
 # ---------------------------------------------------------------------------
-# Completion
+# Completion: one saturation run, which once finished is its result
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Completion:
-    """The saturated assertion set with provenance and clash witness."""
+    """A saturation run.  The run `saturate` returns is finished: the
+    saturated assertion set with provenance and clash witness, never
+    written again except for its lazily built caches."""
 
-    input_assertions: frozenset
-    assertions: tuple
-    provenance: dict                  # assertion -> (rule label, premises)
-    clash: tuple | None               # (positive term, its negation)
-    stats: dict                       # rule label -> additions
-    occurring: frozenset              # concepts occurring in the input
-    abox_depth: S.DepthProfile
-    rules: RuleSet
-    # the individuals of the input assertions, shared with the run
-    _individuals: frozenset = field(repr=False, compare=False)
-    # the finished run of a consistent completion, for saturate(start=...)
-    _saturation: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.clash is None
-
-    def __contains__(self, a: S.Assertion) -> bool:
-        return a in self.provenance
-
-    def positives(self):
-        return [a for a in self.assertions if a.kind != S.NEG]
-
-    def objects(self):
-        return self._carriers[0]
-
-    def features(self):
-        return self._carriers[1]
-
-    @cached_property
-    def _carriers(self) -> tuple:
-        """(objects, features), each in order of first occurrence."""
-        objs, feats = {}, {}
-        for a in self.assertions:
-            for ind in a.individuals():
-                (objs if ind.sort == S.OBJ else feats)[ind] = None
-        return tuple(objs), tuple(feats)
-
-    def original_individuals(self) -> frozenset:
-        return self._individuals
-
-    @cached_property
-    def invariant_violations(self) -> tuple:
-        """One message per positive fact whose shape mixes the box and dia
-        images, in completion order: a dia-image I a box-image, or a
-        dia-image (box-image) heading a box-role (dia-role) fact.
-
-        Saturation under the base rules, the copy rules and the role-into-I
-        inclusions derives none of these; a crossing relation inclusion
-        breaks this by construction (see RelationInclusionRule).
-        """
-        out = []
-        for a in self.assertions:
-            if a.kind == S.REL_I:
-                if (S.dia_adjoint_view(a.left) is not None
-                        and S.box_adjoint_view(a.right) is not None):
-                    out.append(f"dia-image I box-image: {a}")
-            elif a.kind == S.REL_BOX:
-                if S.dia_adjoint_view(a.left) is not None:
-                    out.append(f"dia-image heads a box-role fact: {a}")
-            elif a.kind == S.REL_DIA:
-                if S.box_adjoint_view(a.left) is not None:
-                    out.append(f"box-image heads a dia-role fact: {a}")
-        return tuple(out)
-
-    def related(self, role: Role, anchor: S.Individual, side: str):
-        """Individuals n with the (anchor, n) fact (side 'right') or the
-        (n, anchor) fact (side 'left') for the given role."""
-        kind, index = role.fact_kind, role.index
-        out = []
-        for a in self.assertions:
-            if a.kind != kind or a.index != index:
-                continue
-            if side == "right" and a.left is anchor:
-                out.append(a.right)
-            elif side == "left" and a.right is anchor:
-                out.append(a.left)
-        return out
-
-    def steps(self):
-        """Full derivation trace: (rule, premises, conclusion) per added
-        assertion, input terms excluded."""
-        return [(self.provenance[a][0], self.provenance[a][1], a)
-                for a in self.assertions if self.provenance[a][0] != "input"]
-
-    def clash_certificate(self):
-        """Derivation steps leading to the clash pair: the chain that
-        derives the positive term first, then the chain producing its
-        negation; empty when consistent."""
-        if self.clash is None:
-            return []
-        order = {a: i for i, a in enumerate(self.assertions)}
-
-        def ancestors(root):
-            seen = set()
-            queue = [root]
-            while queue:
-                a = queue.pop()
-                if a in seen:
-                    continue
-                seen.add(a)
-                queue.extend(self.provenance[a][1])
-            return sorted((a for a in seen if self.provenance[a][0] != "input"),
-                          key=order.__getitem__)
-
-        term, negation = self.clash
-        chain = ancestors(term)
-        listed = set(chain)
-        chain += [a for a in ancestors(negation) if a not in listed]
-        return [(self.provenance[a][0], self.provenance[a][1], a) for a in chain]
-
-
-# ---------------------------------------------------------------------------
-# Saturation
-# ---------------------------------------------------------------------------
-
-class _Saturation:
-    def __init__(self, inputs: frozenset, rules: RuleSet, max_steps,
-                 shuffle_seed, occurring: frozenset, individuals: frozenset):
+    def __init__(self, input_assertions: frozenset, rules: RuleSet,
+                 max_steps, shuffle_seed, occurring: frozenset,
+                 individuals: frozenset):
+        self.input_assertions = input_assertions
         self.rules = rules
         self.max_steps = max_steps
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-        self.inputs = inputs
-        self.occurring = occurring
-        self.individuals = individuals   # of the inputs
+        self.occurring = occurring       # concepts occurring in the input
+        self.individuals = individuals   # of the input assertions
 
-        # assertion -> (rule, premises), in completion order
-        self.store: dict = {}
+        # assertion -> (rule label, premises), in completion order
+        self.provenance: dict = {}
         self.neg_relational: dict = {}   # relational terms under a negation
         self.obj_mem: dict = {}      # b -> {C: None}
         self.feat_mem: dict = {}
@@ -361,9 +252,9 @@ class _Saturation:
         self.feat_of: dict = {}
         self.box_mem: dict = {}      # child C -> {(i, b): None}
         self.dia_mem: dict = {}      # child C -> {(i, y): None}
-        self.clash = None
-        self.stats: dict = {}
-        self.steps = 0               # facts fired
+        self.clash = None            # (positive term, its negation)
+        self.stats: dict = {}        # rule label -> additions
+        self.fired = 0               # facts fired
         self.worklist = deque()
 
         # `occurring` iterates in id-hash order; every walk over it goes
@@ -389,60 +280,155 @@ class _Saturation:
                 self.extra_rules.setdefault(key, []).append(
                     (extra.conclude, extra.label))
 
+    # -- the finished completion ---------------------------------------------
+
+    @property
+    def is_consistent(self) -> bool:
+        return self.clash is None
+
+    def __contains__(self, a: S.Assertion) -> bool:
+        return a in self.provenance
+
+    @cached_property
+    def assertions(self) -> tuple:
+        return tuple(self.provenance)
+
+    def positives(self):
+        return [a for a in self.provenance if a.kind != S.NEG]
+
+    def objects(self):
+        return self._carriers[0]
+
+    def features(self):
+        return self._carriers[1]
+
+    @cached_property
+    def _carriers(self) -> tuple:
+        """(objects, features), each in order of first occurrence."""
+        objs, feats = {}, {}
+        for a in self.provenance:
+            for ind in a.individuals():
+                (objs if ind.sort == S.OBJ else feats)[ind] = None
+        return tuple(objs), tuple(feats)
+
+    @cached_property
+    def invariant_violations(self) -> tuple:
+        """One message per positive fact whose shape mixes the box and dia
+        images, in completion order: a dia-image I a box-image, or a
+        dia-image (box-image) heading a box-role (dia-role) fact.
+
+        Saturation under the base rules, the copy rules and the role-into-I
+        inclusions derives none of these; a crossing relation inclusion
+        breaks this by construction (see RelationInclusionRule).
+        """
+        out = []
+        for a in self.provenance:
+            if a.kind == S.REL_I:
+                if (S.dia_adjoint_view(a.left) is not None
+                        and S.box_adjoint_view(a.right) is not None):
+                    out.append(f"dia-image I box-image: {a}")
+            elif a.kind == S.REL_BOX:
+                if S.dia_adjoint_view(a.left) is not None:
+                    out.append(f"dia-image heads a box-role fact: {a}")
+            elif a.kind == S.REL_DIA:
+                if S.box_adjoint_view(a.left) is not None:
+                    out.append(f"box-image heads a dia-role fact: {a}")
+        return tuple(out)
+
+    @cached_property
+    def relational_at(self) -> dict:
+        """Extra-rule trigger key (kind, index, end) -> the positive
+        relational facts of that kind and index with that end, in
+        completion order."""
+        out: dict = {}
+        for a in self.provenance:
+            if a.is_relational:
+                out.setdefault((a.kind, a.index, a.left), []).append(a)
+                out.setdefault((a.kind, a.index, a.right), []).append(a)
+        return out
+
+    def facts_at(self, key) -> list:
+        """The facts with the given trigger key, in completion order."""
+        if key[0] == S.MEM_OBJ:
+            return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
+        if key[0] == S.MEM_FEAT:
+            return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
+        return self.relational_at.get(key, [])
+
+    def related(self, role: Role, anchor: S.Individual, side: str):
+        """Individuals n with the (anchor, n) fact (side 'right') or the
+        (n, anchor) fact (side 'left') for the given role."""
+        facts = self.relational_at.get((role.fact_kind, role.index, anchor), ())
+        if side == "right":
+            return [a.right for a in facts if a.left is anchor]
+        return [a.left for a in facts if a.right is anchor]
+
+    def steps(self):
+        """Full derivation trace: (rule, premises, conclusion) per added
+        assertion, input terms excluded."""
+        return [(rule, premises, a)
+                for a, (rule, premises) in self.provenance.items()
+                if rule != "input"]
+
+    def clash_certificate(self):
+        """Derivation steps leading to the clash pair: the chain that
+        derives the positive term first, then the chain producing its
+        negation; empty when consistent."""
+        if self.clash is None:
+            return []
+        order = {a: i for i, a in enumerate(self.provenance)}
+
+        def ancestors(root):
+            seen = set()
+            queue = [root]
+            while queue:
+                a = queue.pop()
+                if a in seen:
+                    continue
+                seen.add(a)
+                queue.extend(self.provenance[a][1])
+            return sorted((a for a in seen if self.provenance[a][0] != "input"),
+                          key=order.__getitem__)
+
+        term, negation = self.clash
+        chain = ancestors(term)
+        listed = set(chain)
+        chain += [a for a in ancestors(negation) if a not in listed]
+        return [(self.provenance[a][0], self.provenance[a][1], a) for a in chain]
+
+    # -- saturation ----------------------------------------------------------
+
     def fork(self, inputs: frozenset, rules: RuleSet, max_steps,
-             shuffle_seed):
+             shuffle_seed) -> Completion:
         """A run over the given inputs and rules that starts from this
         finished run's facts; the indexes are copied, so this run is
         never written."""
-        delta = inputs - self.inputs
-        run = _Saturation(inputs, rules, max_steps, shuffle_seed,
-                          self.occurring | S.occurring_concepts(delta),
-                          self.individuals | S.individuals_in(delta))
-        run.store = dict(self.store)
+        delta = inputs - self.input_assertions
+        run = Completion(inputs, rules, max_steps, shuffle_seed,
+                         self.occurring | S.occurring_concepts(delta),
+                         self.individuals | S.individuals_in(delta))
+        run.provenance = dict(self.provenance)
         run.neg_relational = dict(self.neg_relational)
         run.stats = dict(self.stats)
-        run.steps = self.steps
+        run.fired = self.fired
         for name in ("obj_mem", "feat_mem", "obj_of", "feat_of",
                      "box_mem", "dia_mem"):
             setattr(run, name, {k: dict(v)
                                 for k, v in getattr(self, name).items()})
         return run
 
-    @cached_property
-    def relational_at(self) -> dict:
-        """Individual -> the positive relational facts it is an end of, in
-        completion order; built on the first resume with new relational
-        extras."""
-        out: dict = {}
-        for a in self.store:
-            if a.is_relational:
-                out.setdefault(a.left, []).append(a)
-                out.setdefault(a.right, []).append(a)
-        return out
-
-    def facts_at(self, key) -> list:
-        """The facts of this run with the given trigger key, in completion
-        order."""
-        if key[0] == S.MEM_OBJ:
-            return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
-        if key[0] == S.MEM_FEAT:
-            return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
-        kind, index, ind = key
-        return [a for a in self.relational_at.get(ind, ())
-                if a.kind == kind and a.index == index]
-
-    # -- store primitives ---------------------------------------------------
+    # -- fact store ----------------------------------------------------------
 
     def add(self, a: S.Assertion, rule: str, premises: tuple):
-        if a in self.store or self.clash is not None:
+        if a in self.provenance or self.clash is not None:
             return
-        self.store[a] = (rule, premises)
+        self.provenance[a] = (rule, premises)
         self.stats[rule] = self.stats.get(rule, 0) + 1
         self.worklist.append(a)
         if a.kind == S.NEG:
             if a.inner.is_relational:
                 self.neg_relational[a.inner] = a
-                if a.inner in self.store:
+                if a.inner in self.provenance:
                     self.clash = (a.inner, a)
         else:
             if a.is_relational:
@@ -588,7 +574,7 @@ class _Saturation:
             self.add(S.member(a_c, c), "create", ())
             self.add(S.member(x_c, c), "create", ())
 
-    def resume(self, base: "_Saturation") -> Completion:
+    def resume(self, base: Completion) -> Completion:
         """Fire what the delta adds to the finished run `base`, forked
         into this run."""
         new_extras = self.rules.extras[len(base.rules.extras):]
@@ -597,7 +583,8 @@ class _Saturation:
             for key in extra.triggers:
                 for a in base.facts_at(key):
                     self.add(extra.conclude(a), extra.label, (a,))
-        for a in sorted(self.inputs - base.inputs, key=str):
+        for a in sorted(self.input_assertions - base.input_assertions,
+                        key=str):
             self.add(a, "input", ())
         fresh = [c for c in self.occurring_sorted if c not in base.occurring]
         self._create(fresh)
@@ -616,7 +603,7 @@ class _Saturation:
         return self._loop()
 
     def _loop(self) -> Completion:
-        steps = self.steps
+        steps = self.fired
         while self.worklist and self.clash is None:
             if self.rng is None:
                 a = self.worklist.popleft()
@@ -630,26 +617,14 @@ class _Saturation:
                 raise ResourceLimitError(
                     f"saturation exceeded {self.max_steps} steps")
             self.fire(a)
-        self.steps = steps
-
-        return Completion(
-            input_assertions=self.inputs,
-            assertions=tuple(self.store),
-            provenance=self.store,
-            clash=self.clash,
-            stats=self.stats,
-            occurring=self.occurring,
-            abox_depth=self.abox_depth,
-            rules=self.rules,
-            _individuals=self.individuals,
-            _saturation=self if self.clash is None else None,
-        )
+        self.fired = steps
+        return self
 
 
 # the base of every run from scratch: no inputs, facts or extras; runs
 # fork it, so it stays empty
-_EMPTY = _Saturation(frozenset(), BASE_RULES, None, None, frozenset(),
-                     frozenset())
+_EMPTY = Completion(frozenset(), BASE_RULES, None, None, frozenset(),
+                    frozenset())
 
 
 def saturate(assertions, rules: RuleSet = BASE_RULES, *,
@@ -667,9 +642,9 @@ def saturate(assertions, rules: RuleSet = BASE_RULES, *,
     counts its steps too.  Any other `start` raises ValueError.  Without
     `start`, the empty run is resumed.
     """
-    base = _EMPTY if start is None else start._saturation
+    base = _EMPTY if start is None else start
     inputs = frozenset(assertions)
-    if (base is None or not base.inputs <= inputs
+    if (base.clash is not None or not base.input_assertions <= inputs
             or rules.extras[:len(base.rules.extras)] != base.rules.extras):
         raise ValueError("start must be a consistent completion of a subset "
                          "of the assertions under a prefix of the extras")

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polardl.cli import main
 
@@ -323,3 +325,55 @@ class TestDeterminism:
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+# -- random KB text: the CLI never lets an exception escape -------------------
+
+_OBJ, _FEAT = st.sampled_from(["b", "d"]), st.sampled_from(["y", "z"])
+_ANY = st.sampled_from(["b", "y", "q", "I"])
+_CONCEPTS = st.recursive(
+    st.sampled_from(["A", "B", "C", "A", "B", "b", "box1", "("]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(" ".join),
+        st.tuples(st.sampled_from(["box1", "dia1", "box1", "dia1", "box2",
+                                   "not"]), inner).map(" ".join),
+        inner.map("( {} )".format)),
+    max_leaves=6)
+_TOKENS = st.lists(st.sampled_from(
+    ["roles", "box", "dia", "1", "0", "obj", "feat", "b", "y", "A", ":",
+     "::", "I", "Rbox1", "Rdia1", "not", "and", "or", "equiv", "sub", "(",
+     ")", ".", "#", "\n", "-", "\u00e9"]), max_size=12).map(" ".join)
+_FACTS = st.one_of(
+    st.builds("{} : {}".format, _OBJ, _CONCEPTS),
+    st.builds("{} :: {}".format, _FEAT, _CONCEPTS),
+    st.builds("{} {} {}".format, _OBJ, st.sampled_from(["I", "Rbox1"]),
+              _FEAT),
+    st.builds("{} Rdia1 {}".format, _FEAT, _OBJ),
+    st.builds("{} {} {}".format, _ANY,
+              st.sampled_from([":", "::", "I", "Rbox2", "Rdia0"]), _ANY))
+_STATEMENTS = st.one_of(
+    _FACTS.map("{} .".format),
+    _FACTS.map("not {} .".format),
+    st.builds("{} {} {} .".format, _CONCEPTS,
+              st.sampled_from(["equiv", "sub"]), _CONCEPTS),
+    st.sampled_from(["obj q.", "feat q.", "roles box 2 dia 0."]),
+    _TOKENS)
+_KB_TEXT = st.tuples(
+    st.sampled_from(["", "roles box 1 dia 1.\nobj b d.\nfeat y z.\n"]),
+    st.lists(_STATEMENTS, max_size=6)).map(
+        lambda parts: parts[0] + "\n".join(parts[1]))
+
+
+class TestRandomInput:
+    @settings(max_examples=150, deadline=None)
+    @given(_KB_TEXT)
+    def test_random_kb_text_gives_an_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            kb = pathlib.Path(tmp) / "random.kb"
+            kb.write_text(text, encoding="utf-8")
+            for argv in (["check"], ["check", "--format", "json"],
+                         ["model"]):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*argv, str(kb)])
+                assert code in (0, 1, 2), (argv, text)

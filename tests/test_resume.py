@@ -128,6 +128,50 @@ def test_resumed_runs_match_runs_from_scratch(corpus):
     assert ran > 20 * SLICE and 0 < clashed < ran
 
 
+def _related_by_scan(comp, role, anchor, side):
+    """The reference for `Completion.related`: one scan of the whole
+    completion per call, as before the relational index."""
+    kind, index = role.fact_kind, role.index
+    out = []
+    for a in comp.assertions:
+        if a.kind != kind or a.index != index:
+            continue
+        if side == "right" and a.left is anchor:
+            out.append(a.right)
+        elif side == "left" and a.right is anchor:
+            out.append(a.left)
+    return out
+
+
+def test_relational_index_matches_a_scan(corpus):
+    """`related` on every role present, every individual and both sides,
+    on the base completions and on one resumed completion per ABox that
+    adds a concept new to the ABox (as `list_members` of an absent
+    concept does) under the rules of `fuzz.sample_extras`."""
+    rng = random.Random(CORPUS_SEED + 3)
+    checked = resumed_consistent = 0
+    for n, (abox, base) in enumerate(corpus):
+        fresh = P.atom("Fresh")
+        occurring = sorted(S.occurring_concepts(abox), key=str)
+        if occurring:
+            fresh = P.meet(fresh, occurring[0])
+        resumed = P.saturate(
+            abox | {P.member(name, fresh) for name in P.fresh_names(fresh)},
+            _rules(*fuzz.sample_extras(rng, abox)), start=base)
+        assert fresh in resumed.occurring and fresh not in base.occurring
+        resumed_consistent += resumed.is_consistent
+        for comp in (base, resumed):
+            roles = {P.Role.of(a) for a in comp.assertions if a.is_relational}
+            for role in sorted(roles, key=str):
+                for anchor in comp.objects() + comp.features():
+                    for side in ("right", "left"):
+                        assert (comp.related(role, anchor, side)
+                                == _related_by_scan(comp, role, anchor, side)
+                                ), (n, str(role), str(anchor), side)
+                        checked += 1
+    assert resumed_consistent > 0 and checked > 100 * SLICE
+
+
 def test_resuming_never_writes_the_start(corpus):
     abox, base = corpus[0]
     before = (base.assertions, dict(base.provenance), dict(base.stats))
@@ -144,12 +188,12 @@ def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
     P.saturate(abox, _rules(P.CopyRule(I, objs[0], objs[1])))
     P.saturate(abox | {P.member(objs[0], P.atom("Fresh"))}, shuffle_seed=1)
     empty = T._EMPTY
-    assert not (empty.inputs or empty.occurring or empty.individuals
+    assert not (empty.input_assertions or empty.occurring or empty.individuals
                 or empty.rules.extras)
-    assert not (empty.store or empty.neg_relational or empty.stats
+    assert not (empty.provenance or empty.neg_relational or empty.stats
                 or empty.obj_mem or empty.feat_mem or empty.obj_of
                 or empty.feat_of or empty.box_mem or empty.dia_mem)
-    assert empty.steps == 0 and empty.clash is None
+    assert empty.fired == 0 and empty.clash is None
 
 
 def test_a_resumed_completion_can_be_resumed(movies_kb):

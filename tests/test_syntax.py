@@ -137,36 +137,6 @@ class TestDepth:
             P.depth_profile(P.classifier_obj(P.dia(1, D)))
 
 
-class TestLeading:
-    def test_box_atom_is_box_leading(self):
-        assert P.is_box_leading(P.box(1, D))
-
-    def test_meet_with_box_leading_arm(self):
-        assert P.is_box_leading(P.meet(P.box(1, D), E))
-        assert P.is_box_leading(P.meet(E, P.box(1, D)))
-
-    def test_atom_is_neither(self):
-        assert not P.is_box_leading(D)
-        assert not P.is_dia_leading(D)
-
-    def test_meet_of_two_dia_leading(self):
-        assert P.is_dia_leading(P.meet(P.dia(1, D), P.dia(1, E)))
-
-    def test_meet_with_one_dia_leading_arm_is_not(self):
-        assert not P.is_dia_leading(P.meet(P.dia(1, D), E))
-
-    @given(concepts())
-    def test_never_both(self, c):
-        assert not (P.is_box_leading(c) and P.is_dia_leading(c))
-
-    @given(concepts(), concepts())
-    def test_meet_join_characterization(self, c1, c2):
-        assert P.is_dia_leading(P.meet(c1, c2)) == \
-            (P.is_dia_leading(c1) and P.is_dia_leading(c2))
-        assert P.is_box_leading(P.join(c1, c2)) == \
-            (P.is_box_leading(c1) and P.is_box_leading(c2))
-
-
 class TestIdentifications:
     def test_dia_of_object_classifier(self):
         assert P.adj_diamond(P.classifier_obj(C), 1) is \

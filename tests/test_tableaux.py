@@ -11,6 +11,7 @@ from polardl import syntax as S
 from polardl.errors import (ResourceLimitError, UnknownIndividualError,
                             UnsupportedRuleError)
 
+import dev_sequence_digest
 import fuzz
 import movie_data
 
@@ -364,6 +365,16 @@ class TestDeterminism:
         order = list(comp.assertions)
         assert order.index(P.member(a, X)) \
             < order.index(P.member(b, P.meet(C1, C2)))
+
+    def test_base_completion_order_is_pinned(self):
+        # the sequence and set digests that tests/dev_sequence_digest.py
+        # prints for the base runs of its 1,000 corpus ABoxes, hashed into
+        # one; an engine change that must keep the completion order keeps it
+        corpus = fuzz.consistent_corpus(dev_sequence_digest.CORPUS_SEED,
+                                        dev_sequence_digest.CORPUS_SIZE)
+        lines = (" ".join(dev_sequence_digest._line(comp))
+                 for _, comp in corpus)
+        assert dev_sequence_digest._digest(lines) == "b4c7869014dab029"
 
     def test_trace_bytes_do_not_follow_memory_layout(self, tmp_path):
         # D is an operand of six occurring meets, so and_inv's partner list
