@@ -21,8 +21,7 @@ from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)
 from .tbox import rewrite_gci, check_acyclic, unravel, definition_map
 from .tableaux import (RuleSet, BASE_RULES, Completion, saturate,
-                       check_consistency, add_extra_rule, fresh_names,
-                       CopyRule, RelationInclusionRule,
+                       add_extra_rule, CopyRule, RelationInclusionRule,
                        SubsumptionRule)
 from .model import (Polarity, Model, build_model, galois_up, galois_down,
                     interpret_concept, check_satisfies, check_i_compatibility,

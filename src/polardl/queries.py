@@ -12,8 +12,9 @@ rules, so each resumes from the cached completion and derives only what
 that delta enables.  Negative subsumption adds the creation pairs of
 its two concepts and the subsumption as an extra rule, and resumes too.
 
-Queries may run concurrently: the cached completion is built once, and
-a resumed run works on copies of its indexes.
+Queries may run concurrently: the cached completion is built once and
+shared read-only; a resumed run keeps its own facts apart from it and
+never writes it.
 """
 
 from __future__ import annotations
@@ -128,8 +129,7 @@ class QueryEngine:
         missing = [c for c in concepts if c not in self.completion.occurring]
         if not missing:
             return self.completion
-        run = self._extend(S.member(name, c) for c in missing
-                           for name in T.fresh_names(c))
+        run = self._extend(t for c in missing for t in S.creation_terms(c))
         if not run.is_consistent:
             raise ClashPresentError(
                 "creation terms clashed on a consistent ABox; "
@@ -174,8 +174,8 @@ class QueryEngine:
         self._known(ind)
         c = self._expand(c)
         run = self._completion_with_concepts([c])
-        a_c, x_c = T.fresh_names(c)
-        fact = S.rel_i(ind, x_c) if ind.sort == S.OBJ else S.rel_i(a_c, ind)
+        fact = (S.rel_i(ind, S.classifier_feat(c)) if ind.sort == S.OBJ
+                else S.rel_i(S.classifier_obj(c), ind))
         return _fact_answer(fact, fact in run)
 
     def list_members(self, c: S.Concept, side: str = "extent", *,
@@ -185,7 +185,7 @@ class QueryEngine:
                 f"side must be 'extent' or 'intent', not {side!r}")
         c = self._expand(c)
         run = self._completion_with_concepts([c])
-        a_c, x_c = T.fresh_names(c)
+        a_c, x_c = S.classifier_obj(c), S.classifier_feat(c)
         if side == "extent":
             found = run.related(Role("I"), x_c, "left")
         else:
@@ -203,9 +203,7 @@ class QueryEngine:
         """Is every instance of c1 an instance of c2?"""
         c1, c2 = self._expand(c1), self._expand(c2)
         run = self._completion_with_concepts([c1, c2])
-        a_c1, _ = T.fresh_names(c1)
-        _, x_c2 = T.fresh_names(c2)
-        fact = S.rel_i(a_c1, x_c2)
+        fact = S.rel_i(S.classifier_obj(c1), S.classifier_feat(c2))
         return _fact_answer(fact, fact in run)
 
     def _ask_positive(self, t: S.Assertion) -> Answer:
@@ -268,8 +266,7 @@ class QueryEngine:
                 "negative subsumption needs c1 and c2 subformula-disjoint")
         rules = T.add_extra_rule(T.BASE_RULES, T.SubsumptionRule(c1, c2))
         return _clash_answer(self._extend(
-            [S.member(name, c) for c in (c1, c2) for name in T.fresh_names(c)],
-            rules))
+            S.creation_terms(c1) + S.creation_terms(c2), rules))
 
     # -- separation / differentiation / identity ---------------------------------
 

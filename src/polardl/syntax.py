@@ -495,6 +495,11 @@ def member(ind: Individual, c: Concept) -> Assertion:
                              lambda: Assertion(kind, ind=ind, concept=c))
 
 
+def creation_terms(c: Concept) -> tuple:
+    """The creation pair of a concept: ``a_C : C`` and ``x_C :: C``."""
+    return member(classifier_obj(c), c), member(classifier_feat(c), c)
+
+
 def neg(a: Assertion) -> Assertion:
     if a.kind == NEG:
         raise ValueError("negation applies only to positive terms")

@@ -62,10 +62,10 @@ its concept).  A run without extra rules never looks a fact up.
 Negative assertions never match a positive premise: they only feed
 neg_b/neg_x and clash detection.
 
-Resumption: every run resumes a finished run, on copies of its indexes.
-The finished run is the completion: ``saturate`` returns the run
-itself.  ``saturate(..., start=comp)`` resumes the consistent
-completion comp; a run from scratch resumes the empty run.  A run fires
+Resumption: every run resumes a finished run, its base, which it shares
+and never writes.  The finished run is the completion: ``saturate``
+returns the run itself.  ``saturate(..., start=comp)`` resumes the
+consistent completion comp; a run from scratch resumes the empty run.  A run fires
 only what the delta enables: each new extra rule on the base facts of
 its triggers, the new inputs, creation for newly occurring concepts,
 and and_inv/or_inv for newly occurring meets and joins over pairs of
@@ -74,18 +74,20 @@ base fact has fired, rules are monotone and side conditions only grow,
 so the verdict and a consistent fixpoint equal a run from scratch; a
 clashing run may stop at another partial set.
 
-A completion's relational index, keyed like the extra-rule triggers,
-serves ``related`` and the seeding of new relational extras.  It is
-built once, on first use, and never copied: a fork builds its own only
-if it is read.
+A run owns only what it adds: its facts, the inner index dicts it
+writes (copied on first write) and its relational index (keyed like
+the extra-rule triggers, built on first use).  Reads fall through to
+the base, whose facts come first in completion order.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (ResourceLimitError, UnknownIndividualError,
                      UnsupportedRuleError)
@@ -218,15 +220,29 @@ def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
     return RuleSet(rules.extras + (extra,))
 
 
-def fresh_names(c: S.Concept):
-    """The canonical classifier pair (a_C, x_C) for a concept; stable
-    across calls and identified with the adjoint spellings."""
-    return S.classifier_obj(c), S.classifier_feat(c)
-
-
 # ---------------------------------------------------------------------------
 # Completion: one saturation run, which once finished is its result
 # ---------------------------------------------------------------------------
+
+class _Layers(Mapping):
+    """A resumed run's provenance: the base's facts, then its own."""
+
+    def __init__(self, inherited: dict, own: dict):
+        self.inherited, self.own = inherited, own
+
+    def __getitem__(self, a):
+        hit = self.own.get(a)
+        return self.inherited[a] if hit is None else hit
+
+    def __contains__(self, a):
+        return a in self.own or a in self.inherited
+
+    def __iter__(self):
+        return chain(self.inherited, self.own)
+
+    def __len__(self):
+        return len(self.inherited) + len(self.own)
+
 
 class Completion:
     """A saturation run.  The run `saturate` returns is finished: the
@@ -243,8 +259,10 @@ class Completion:
         self.occurring = occurring       # concepts occurring in the input
         self.individuals = individuals   # of the input assertions
 
-        # assertion -> (rule label, premises), in completion order
-        self.provenance: dict = {}
+        # assertion -> (rule label, premises): the facts this run added,
+        # its base's, and both in completion order (_Layers once resumed)
+        self.own, self.inherited, self.base = {}, {}, None
+        self.provenance = self.own
         self.neg_relational: dict = {}   # relational terms under a negation
         self.obj_mem: dict = {}      # b -> {C: None}
         self.feat_mem: dict = {}
@@ -338,10 +356,10 @@ class Completion:
     @cached_property
     def relational_at(self) -> dict:
         """Extra-rule trigger key (kind, index, end) -> the positive
-        relational facts of that kind and index with that end, in
-        completion order."""
+        relational facts this run added of that kind and index with that
+        end, in completion order; the base's are in the base's index."""
         out: dict = {}
-        for a in self.provenance:
+        for a in self.own:
             if a.is_relational:
                 out.setdefault((a.kind, a.index, a.left), []).append(a)
                 out.setdefault((a.kind, a.index, a.right), []).append(a)
@@ -353,12 +371,13 @@ class Completion:
             return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
         if key[0] == S.MEM_FEAT:
             return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
-        return self.relational_at.get(key, [])
+        own = self.relational_at.get(key, [])
+        return self.base.facts_at(key) + own if self.inherited else own
 
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
         (n, anchor) fact (side 'left') for the given role."""
-        facts = self.relational_at.get((role.fact_kind, role.index, anchor), ())
+        facts = self.facts_at((role.fact_kind, role.index, anchor))
         if side == "right":
             return [a.right for a in facts if a.left is anchor]
         return [a.left for a in facts if a.right is anchor]
@@ -370,13 +389,20 @@ class Completion:
                 for a, (rule, premises) in self.provenance.items()
                 if rule != "input"]
 
+    @cached_property
+    def _positions(self) -> dict:
+        """Assertion -> its place in completion order."""
+        return {a: i for i, a in enumerate(self.provenance)}
+
     def clash_certificate(self):
         """Derivation steps leading to the clash pair: the chain that
         derives the positive term first, then the chain producing its
         negation; empty when consistent."""
         if self.clash is None:
             return []
-        order = {a: i for i, a in enumerate(self.provenance)}
+        prov, start = self.provenance, len(self.inherited)
+        based = self.base._positions if start else {}
+        own = {a: start + i for i, a in enumerate(self.own)}
 
         def ancestors(root):
             seen = set()
@@ -386,43 +412,52 @@ class Completion:
                 if a in seen:
                     continue
                 seen.add(a)
-                queue.extend(self.provenance[a][1])
-            return sorted((a for a in seen if self.provenance[a][0] != "input"),
-                          key=order.__getitem__)
+                queue.extend(prov[a][1])
+            return sorted((a for a in seen if prov[a][0] != "input"),
+                          key=lambda a: own[a] if a in own else based[a])
 
         term, negation = self.clash
-        chain = ancestors(term)
-        listed = set(chain)
-        chain += [a for a in ancestors(negation) if a not in listed]
-        return [(self.provenance[a][0], self.provenance[a][1], a) for a in chain]
+        steps = ancestors(term)
+        listed = set(steps)
+        steps += [a for a in ancestors(negation) if a not in listed]
+        return [(prov[a][0], prov[a][1], a) for a in steps]
 
     # -- saturation ----------------------------------------------------------
 
     def fork(self, inputs: frozenset, rules: RuleSet, max_steps,
              shuffle_seed) -> Completion:
         """A run over the given inputs and rules that starts from this
-        finished run's facts; the indexes are copied, so this run is
-        never written."""
+        finished run's facts.  It shares them and never writes them: it
+        adds to its own layer and copies only the outer index dicts."""
         delta = inputs - self.input_assertions
         run = Completion(inputs, rules, max_steps, shuffle_seed,
                          self.occurring | S.occurring_concepts(delta),
                          self.individuals | S.individuals_in(delta))
-        run.provenance = dict(self.provenance)
+        run.base = self
+        # fall-through stays one level deep
+        run.inherited = ({**self.inherited, **self.own} if self.inherited
+                         else self.own)
+        if run.inherited:
+            run.provenance = _Layers(run.inherited, run.own)
         run.neg_relational = dict(self.neg_relational)
         run.stats = dict(self.stats)
         run.fired = self.fired
         for name in ("obj_mem", "feat_mem", "obj_of", "feat_of",
                      "box_mem", "dia_mem"):
-            setattr(run, name, {k: dict(v)
-                                for k, v in getattr(self, name).items()})
+            setattr(run, name, getattr(self, name).copy())
+        run._indexes = {
+            S.MEM_OBJ: (run.obj_mem, self.obj_mem, run.obj_of, self.obj_of,
+                        run.box_mem, self.box_mem, S.BOX),
+            S.MEM_FEAT: (run.feat_mem, self.feat_mem, run.feat_of,
+                         self.feat_of, run.dia_mem, self.dia_mem, S.DIA)}
         return run
 
     # -- fact store ----------------------------------------------------------
 
     def add(self, a: S.Assertion, rule: str, premises: tuple):
-        if a in self.provenance or self.clash is not None:
+        if a in self.own or a in self.inherited or self.clash is not None:
             return
-        self.provenance[a] = (rule, premises)
+        self.own[a] = (rule, premises)
         self.stats[rule] = self.stats.get(rule, 0) + 1
         self.worklist.append(a)
         if a.kind == S.NEG:
@@ -438,18 +473,25 @@ class Completion:
             self._index_positive(a)
 
     def _index_positive(self, a: S.Assertion):
-        if a.kind == S.MEM_OBJ:
-            self.obj_mem.setdefault(a.ind, {})[a.concept] = None
-            self.obj_of.setdefault(a.concept, {})[a.ind] = None
-            c = a.concept
-            if c.kind == S.BOX:
-                self.box_mem.setdefault(c.child, {})[(c.index, a.ind)] = None
-        elif a.kind == S.MEM_FEAT:
-            self.feat_mem.setdefault(a.ind, {})[a.concept] = None
-            self.feat_of.setdefault(a.concept, {})[a.ind] = None
-            c = a.concept
-            if c.kind == S.DIA:
-                self.dia_mem.setdefault(c.child, {})[(c.index, a.ind)] = None
+        # copy-on-write: an inner dict the base shares is copied on first write
+        indexes = self._indexes.get(a.kind)
+        if indexes is None:
+            return
+        mem, base_mem, of, base_of, modal, base_modal, shape = indexes
+        x, c = a.ind, a.concept
+        row = mem.get(x)
+        if row is None or row is base_mem.get(x):
+            row = mem[x] = row.copy() if row else {}
+        row[c] = None
+        col = of.get(c)
+        if col is None or col is base_of.get(c):
+            col = of[c] = col.copy() if col else {}
+        col[x] = None
+        if c.kind == shape:
+            col = modal.get(c.child)
+            if col is None or col is base_modal.get(c.child):
+                col = modal[c.child] = col.copy() if col else {}
+            col[(c.index, x)] = None
 
     # -- rule dispatch -------------------------------------------------------
 
@@ -466,6 +508,9 @@ class Completion:
             self.fire_dia_fact(a)
         else:
             self.fire_negative(a)
+            return
+        if self.extra_rules:
+            self.fire_extras(a)
 
     def fire_obj_membership(self, a):
         b, c = a.ind, a.concept
@@ -483,8 +528,6 @@ class Completion:
                          (a, S.member(y, c.child)))
         for i, y in list(self.dia_mem.get(c, ())):
             self.add(S.rel_dia(i, y, b), "dia", (S.member(y, S.dia(i, c)), a))
-        if self.extra_rules:
-            self.fire_extras(a)
 
     def fire_feat_membership(self, a):
         y, c = a.ind, a.concept
@@ -502,8 +545,6 @@ class Completion:
                          (a, S.member(b, c.child)))
         for i, b in list(self.box_mem.get(c, ())):
             self.add(S.rel_box(i, b, y), "box", (S.member(b, S.box(i, c)), a))
-        if self.extra_rules:
-            self.fire_extras(a)
 
     def fire_incidence(self, a):
         b, y = a.left, a.right
@@ -519,22 +560,16 @@ class Completion:
             self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
         elif b.kind == S.BLACK_DIA:
             self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
-        if self.extra_rules:
-            self.fire_extras(a)
 
     def fire_box_fact(self, a):
         i, b, y = a.index, a.left, a.right
         self.add(S.rel_i(S.black_diamond(b, i), y), "adj_box", (a,))
         self.add(S.rel_i(b, S.adj_box(y, i)), "adj_box", (a,))
-        if self.extra_rules:
-            self.fire_extras(a)
 
     def fire_dia_fact(self, a):
         i, y, b = a.index, a.left, a.right
         self.add(S.rel_i(S.adj_diamond(b, i), y), "adj_dia", (a,))
         self.add(S.rel_i(b, S.black_square(y, i)), "adj_dia", (a,))
-        if self.extra_rules:
-            self.fire_extras(a)
 
     def fire_extras(self, a):
         if a.kind == S.MEM_OBJ or a.kind == S.MEM_FEAT:
@@ -570,9 +605,8 @@ class Completion:
 
     def _create(self, concepts):
         for c in concepts:
-            a_c, x_c = fresh_names(c)
-            self.add(S.member(a_c, c), "create", ())
-            self.add(S.member(x_c, c), "create", ())
+            for a in S.creation_terms(c):
+                self.add(a, "create", ())
 
     def resume(self, base: Completion) -> Completion:
         """Fire what the delta adds to the finished run `base`, forked
@@ -649,9 +683,3 @@ def saturate(assertions, rules: RuleSet = BASE_RULES, *,
         raise ValueError("start must be a consistent completion of a subset "
                          "of the assertions under a prefix of the extras")
     return base.fork(inputs, rules, max_steps, shuffle_seed).resume(base)
-
-
-def check_consistency(assertions, **kwargs) -> Completion:
-    """Saturate under the base rules; the input is consistent iff the
-    returned completion has no clash."""
-    return saturate(assertions, BASE_RULES, **kwargs)

@@ -24,7 +24,7 @@ def movies_engine(movies_kb):
 @pytest.fixture(scope="session")
 def movie_table_completion():
     import movie_data
-    return P.check_consistency(movie_data.unraveled_abox())
+    return P.saturate(movie_data.unraveled_abox())
 
 
 @pytest.fixture(scope="session")

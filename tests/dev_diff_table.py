@@ -13,7 +13,7 @@ import movie_data as MD
 
 
 def main(received=False):
-    comp = P.check_consistency(MD.unraveled_abox())
+    comp = P.saturate(MD.unraveled_abox())
     print("consistent:", comp.is_consistent,
           "| completion size:", len(comp.assertions))
     model = P.build_model(comp)

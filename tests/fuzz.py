@@ -67,7 +67,7 @@ def consistent_corpus(seed, count, **kwargs):
     out = []
     while len(out) < count:
         abox = random_abox(rng, **kwargs)
-        comp = P.check_consistency(abox)
+        comp = P.saturate(abox)
         if comp.is_consistent:
             out.append((abox, comp))
     return out
@@ -83,7 +83,7 @@ def inconsistent_small(seed, count):
         n_box, n_dia = rng.choice([(1, 0), (0, 1), (0, 0)])
         abox = random_abox(rng, n_obj=2, n_feat=1, n_atoms=2, n_box=n_box,
                            n_dia=n_dia, n_terms=4, neg_prob=0.45, max_depth=1)
-        comp = P.check_consistency(abox)
+        comp = P.saturate(abox)
         if not comp.is_consistent:
             out.append((abox, comp))
     return out

@@ -160,13 +160,13 @@ class TestICompatibility:
 
 class TestBuildModel:
     def test_clash_rejected(self):
-        comp = P.check_consistency({P.member(P.named_obj("b"), D),
+        comp = P.saturate({P.member(P.named_obj("b"), D),
                                     P.neg(P.member(P.named_obj("b"), D))})
         with pytest.raises(ClashPresentError):
             P.build_model(comp)
 
     def test_empty_completion(self):
-        m = P.build_model(P.check_consistency(set()))
+        m = P.build_model(P.saturate(set()))
         assert m.polarity.objects == () and m.polarity.features == ()
 
     def test_movie_m3_row(self, movie_model):
@@ -220,7 +220,7 @@ class TestBoundedSearch:
             abox = fuzz.random_abox(rng, n_obj=1, n_feat=1, n_atoms=2,
                                     n_box=1, n_dia=1, n_terms=3,
                                     max_depth=1, neg_prob=0.3)
-            if not P.check_consistency(abox).is_consistent:
+            if not P.saturate(abox).is_consistent:
                 continue
             got = P.bounded_model_search(abox, 3, 3)
             assert got is not None, sorted(map(str, abox))

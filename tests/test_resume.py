@@ -15,6 +15,7 @@ import fuzz
 CORPUS_SEED = 20240811       # as in test_acceptance.py: its first ABoxes
 SLICE = 150
 I, BOX1, DIA1 = P.Role("I"), P.Role("box", 1), P.Role("dia", 1)
+INDEXES = ("obj_mem", "feat_mem", "obj_of", "feat_of", "box_mem", "dia_mem")
 
 
 def _rules(*extras):
@@ -63,14 +64,11 @@ def _extensions(abox, rng):
         for b in ind:
             out.append((f"negmember {b} {c}", (P.member(b, c),), P.BASE_RULES))
     fresh = P.box(1, P.meet(new_meet, P.atom("Fresh")))
-    a_c, x_c = P.fresh_names(fresh)
-    out.append(("create", (P.member(a_c, fresh), P.member(x_c, fresh)),
-                P.BASE_RULES))
+    out.append(("create", S.creation_terms(fresh), P.BASE_RULES))
     for c1, c2 in fuzz.subsumption_pairs(abox)[:1]:
         for lhs in (c1, P.meet(c1, c1)):
             out.append((f"negsub {lhs} {c2}",
-                        [P.member(n, c) for c in (lhs, c2)
-                         for n in P.fresh_names(c)],
+                        S.creation_terms(lhs) + S.creation_terms(c2),
                         _rules(P.SubsumptionRule(lhs, c2))))
     out.append(("extras", (), _rules(*fuzz.sample_extras(rng, abox))))
     return out
@@ -156,7 +154,7 @@ def test_relational_index_matches_a_scan(corpus):
         if occurring:
             fresh = P.meet(fresh, occurring[0])
         resumed = P.saturate(
-            abox | {P.member(name, fresh) for name in P.fresh_names(fresh)},
+            abox | set(S.creation_terms(fresh)),
             _rules(*fuzz.sample_extras(rng, abox)), start=base)
         assert fresh in resumed.occurring and fresh not in base.occurring
         resumed_consistent += resumed.is_consistent
@@ -172,7 +170,23 @@ def test_relational_index_matches_a_scan(corpus):
     assert resumed_consistent > 0 and checked > 100 * SLICE
 
 
-def test_resuming_never_writes_the_start(corpus):
+def _snapshot(comp):
+    """A completion's facts, counts and indexes, by value."""
+    return (comp.assertions, dict(comp.provenance), dict(comp.stats),
+            dict(comp.neg_relational),
+            [{k: dict(v) for k, v in getattr(comp, name).items()}
+             for name in INDEXES],
+            {k: list(v) for k, v in comp.relational_at.items()})
+
+
+def _copied_keys(run, base):
+    """Per index, the base's keys whose inner dict the run has copied."""
+    return {name: [k for k, v in getattr(base, name).items()
+                   if getattr(run, name)[k] is not v]
+            for name in INDEXES}
+
+
+def test_resuming_never_writes_the_start(corpus, movies_kb):
     abox, base = corpus[0]
     before = (base.assertions, dict(base.provenance), dict(base.stats))
     objs = _names(abox, S.OBJ)
@@ -180,6 +194,95 @@ def test_resuming_never_writes_the_start(corpus):
                             P.CopyRule(I, objs[1], objs[0])), start=base)
     P.saturate(abox | {P.member(objs[0], P.atom("Fresh"))}, start=base)
     assert (base.assertions, base.provenance, base.stats) == before
+
+    # runs that write to keys the base holds: copy rules onto an object
+    # and a feature with memberships, and a clashing run
+    abox = P.unravel(movies_kb)
+    base = P.saturate(abox)
+    m3, m4 = P.named_obj("m3"), P.named_obj("m4")
+    f1, f5 = P.named_feat("f1"), P.named_feat("f5")
+    base.related(I, m3, "right")        # builds the base's relational index
+    before = _snapshot(base)
+    runs = [P.saturate(abox, _rules(P.CopyRule(I, m3, m4)), start=base),
+            P.saturate(abox, _rules(P.CopyRule(I, f5, f1)), start=base),
+            P.saturate(abox | {P.member(m4, P.atom("FM"))}, start=base)]
+    assert [run.is_consistent for run in runs] == [True, True, False]
+    for run in runs:
+        run.related(I, m3, "right")
+        run.clash_certificate()
+    copied = [_copied_keys(run, base) for run in runs]
+    assert all(any(c[name] for c in copied) for name in INDEXES)
+    assert all(c["obj_mem"] for c in (copied[0], copied[2]))
+    assert _snapshot(base) == before
+
+
+def test_a_fork_shares_the_base_until_it_writes(movies_kb):
+    """A fork owns no facts and shares every inner index dict of its
+    base; after the run, exactly the keys it wrote hold copies."""
+    abox = P.unravel(movies_kb)
+    base = P.saturate(abox)
+    m3, m4 = P.named_obj("m3"), P.named_obj("m4")
+    rules = _rules(P.CopyRule(I, m3, m4))
+    run = base.fork(abox, rules, None, None)
+    assert run.own == {} and run.inherited is base.provenance
+    assert list(run.provenance) == list(base.provenance)
+    assert not any(_copied_keys(run, base).values())
+    for name in INDEXES:
+        assert getattr(run, name).keys() == getattr(base, name).keys()
+    run.resume(base)
+    assert run.own and list(run.provenance) == list(base.provenance) + \
+        list(run.own)
+    copied = _copied_keys(run, base)
+    assert copied["obj_mem"] == [m4] and copied["obj_of"]
+    for name in INDEXES:
+        ours, theirs = getattr(run, name), getattr(base, name)
+        for k in theirs:
+            # a key holds a copy exactly when the run added to it
+            assert (ours[k] is theirs[k]) == (ours[k] == theirs[k]), (name, k)
+            assert ours[k].keys() >= theirs[k].keys()
+
+
+def _certificate_by_scan(comp):
+    """The reference for `Completion.clash_certificate`: positions from
+    one numbering of the whole completion, as before runs shared their
+    base."""
+    order = {a: i for i, a in enumerate(comp.assertions)}
+
+    def ancestors(root):
+        seen, queue = set(), [root]
+        while queue:
+            a = queue.pop()
+            if a not in seen:
+                seen.add(a)
+                queue.extend(comp.provenance[a][1])
+        return sorted((a for a in seen if comp.provenance[a][0] != "input"),
+                      key=order.__getitem__)
+
+    term, negation = comp.clash
+    chain = ancestors(term)
+    chain += [a for a in ancestors(negation) if a not in set(chain)]
+    return [comp.provenance[a][:2] + (a,) for a in chain]
+
+
+def test_clash_certificates_number_the_base_first(corpus, movies_kb):
+    """Resumed clashing runs, from the corpus and from a resumed run,
+    against the certificate from one numbering of the completion."""
+    rng = random.Random(CORPUS_SEED + 2)
+    clashed = 0
+    for abox, base in corpus:
+        for _, added, rules in _extensions(abox, rng):
+            run = P.saturate(abox | set(added), rules, start=base)
+            if not run.is_consistent:
+                clashed += 1
+                assert run.clash_certificate() == _certificate_by_scan(run)
+    abox = P.unravel(movies_kb)
+    rules = _rules(P.CopyRule(I, P.named_obj("m3"), P.named_obj("m4")))
+    middle = P.saturate(abox, rules, start=P.saturate(abox))
+    run = P.saturate(abox | {P.member(P.named_obj("m4"), P.atom("FM"))},
+                     rules, start=middle)
+    assert not run.is_consistent and len(run.inherited) > len(middle.own)
+    assert run.clash_certificate() == _certificate_by_scan(run)
+    assert clashed > 50
 
 
 def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
@@ -201,7 +304,7 @@ def test_a_resumed_completion_can_be_resumed(movies_kb):
     m3, m1 = P.named_obj("m3"), P.named_obj("m1")
     first = _rules(P.CopyRule(BOX1, m3, m1))
     both = P.add_extra_rule(first, P.CopyRule(I, m1, m3))
-    middle = P.saturate(abox, first, start=P.check_consistency(abox))
+    middle = P.saturate(abox, first, start=P.saturate(abox))
     assert middle.is_consistent
     resumed = P.saturate(abox, both, start=middle)
     scratch = P.saturate(abox, both)
@@ -216,7 +319,7 @@ class TestMisfitStart:
     abox = frozenset({P.member(b, D), P.member(y, D), P.rel_i(d, y)})
 
     def test_inputs_must_include_the_start_inputs(self):
-        start = P.check_consistency(self.abox)
+        start = P.saturate(self.abox)
         with pytest.raises(ValueError):
             P.saturate(self.abox - {P.rel_i(self.d, self.y)}, start=start)
 
@@ -232,7 +335,7 @@ class TestMisfitStart:
 
     def test_start_must_be_consistent(self):
         clash = self.abox | {P.neg(P.member(self.b, self.D))}
-        start = P.check_consistency(clash)
+        start = P.saturate(clash)
         assert not start.is_consistent
         with pytest.raises(ValueError):
             P.saturate(clash, start=start)

@@ -23,25 +23,25 @@ I = P.Role("I")
 
 class TestBasics:
     def test_forced_clash_with_three_step_certificate(self):
-        comp = P.check_consistency({P.member(b, D), P.neg(P.member(b, D))})
+        comp = P.saturate({P.member(b, D), P.neg(P.member(b, D))})
         assert not comp.is_consistent
         rules = [step[0] for step in comp.clash_certificate()]
         assert rules == ["create", "I", "neg_b"]
 
     def test_inert_incidence_fact(self):
-        comp = P.check_consistency({P.rel_i(b, y)})
+        comp = P.saturate({P.rel_i(b, y)})
         assert comp.is_consistent
         assert set(comp.assertions) == {P.rel_i(b, y)}
 
     def test_empty_abox(self):
-        comp = P.check_consistency(set())
+        comp = P.saturate(set())
         assert comp.is_consistent and comp.assertions == ()
 
     def test_movie_with_extra_membership_clashes(self, movies_kb):
         abox = P.unravel(movies_kb)
         extra = P.member(P.named_obj("m1"),
                          P.box(2, P.dia(1, P.atom("RM"))))
-        comp = P.check_consistency(abox | {extra})
+        comp = P.saturate(abox | {extra})
         assert not comp.is_consistent
         term, negation = comp.clash
         assert term is P.rel_box(2, P.named_obj("m1"), P.named_feat("f5"))
@@ -56,7 +56,7 @@ class TestBasics:
                 P.neg(P.rel_i(m4, x0)),
                 P.member(x0, P.meet(fm, c)),
                 P.member(x0, P.meet(gm, c))}
-        assert P.check_consistency(abox).is_consistent
+        assert P.saturate(abox).is_consistent
 
     def test_step_budget(self, movies_kb):
         with pytest.raises(ResourceLimitError):
@@ -66,47 +66,48 @@ class TestBasics:
 class TestFreshNames:
     def test_memoized_pair(self):
         c = P.meet(P.atom("RM"), P.atom("DM"))
-        assert P.fresh_names(c) == P.fresh_names(c)
-        a_c, x_c = P.fresh_names(c)
-        assert a_c is P.classifier_obj(c) and x_c is P.classifier_feat(c)
+        obj_term, feat_term = S.creation_terms(c)
+        assert S.creation_terms(c) == (obj_term, feat_term)
+        assert obj_term is P.member(P.classifier_obj(c), c)
+        assert feat_term is P.member(P.classifier_feat(c), c)
 
     def test_dia_classifier_identification(self):
-        a_c, _ = P.fresh_names(P.dia(1, D))
+        a_c = P.classifier_obj(P.dia(1, D))
         assert a_c is P.adj_diamond(P.classifier_obj(D), 1)
 
 
 class TestRuleMechanics:
     def test_meet_decomposes_for_objects(self):
-        comp = P.check_consistency({P.member(b, P.meet(D, E))})
+        comp = P.saturate({P.member(b, P.meet(D, E))})
         assert P.member(b, D) in comp and P.member(b, E) in comp
 
     def test_join_does_not_decompose_for_objects(self):
-        comp = P.check_consistency({P.member(b, P.join(D, E))})
+        comp = P.saturate({P.member(b, P.join(D, E))})
         assert P.member(b, D) not in comp and P.member(b, E) not in comp
 
     def test_inverse_rule_needs_occurrence(self):
         # D and E never occurs: no meet membership is reassembled
-        comp = P.check_consistency({P.member(b, D), P.member(b, E)})
+        comp = P.saturate({P.member(b, D), P.member(b, E)})
         assert P.member(b, P.meet(D, E)) not in comp
         # once the meet occurs anywhere, the inverse rule fires
-        comp2 = P.check_consistency({P.member(b, D), P.member(b, E),
+        comp2 = P.saturate({P.member(b, D), P.member(b, E),
                                      P.member(y, P.meet(D, E))})
         assert P.member(b, P.meet(D, E)) in comp2
 
     def test_adjunction_names(self):
-        comp = P.check_consistency({P.rel_box(1, b, y)})
+        comp = P.saturate({P.rel_box(1, b, y)})
         assert P.rel_i(P.black_diamond(b, 1), y) in comp
         assert P.rel_i(b, P.adj_box(y, 1)) in comp
         assert comp.is_consistent
 
     def test_negatives_never_match_positive_premises(self):
-        comp = P.check_consistency({P.neg(P.member(b, P.meet(D, E)))})
+        comp = P.saturate({P.neg(P.member(b, P.meet(D, E)))})
         assert P.member(b, D) not in comp
         # only the negative propagation fires
         assert P.neg(P.rel_i(b, P.classifier_feat(P.meet(D, E)))) in comp
 
     def test_provenance_premises_precede_conclusions(self, movies_kb):
-        comp = P.check_consistency(P.unravel(movies_kb))
+        comp = P.saturate(P.unravel(movies_kb))
         pos = {a: i for i, a in enumerate(comp.assertions)}
         for a in comp.assertions:
             rule, premises = comp.provenance[a]
@@ -114,7 +115,7 @@ class TestRuleMechanics:
                 assert pos[pr] < pos[a]
 
     def test_stats_count_additions(self):
-        comp = P.check_consistency({P.member(b, D)})
+        comp = P.saturate({P.member(b, D)})
         assert comp.stats["create"] == 2
         assert comp.stats["input"] == 1
 
@@ -166,7 +167,7 @@ class TestExtraRules:
         rules = P.add_extra_rule(P.BASE_RULES, rule)
         abox = {P.member(b, D), P.member(y, E)}
         assert rule.label == "SUB(D,E)" and rule.individuals() == ()
-        for start in (None, P.check_consistency(abox)):
+        for start in (None, P.saturate(abox)):
             run = P.saturate(abox, rules, start=start)
             assert run.is_consistent
             assert run.provenance[P.member(b, E)] == \
@@ -188,7 +189,7 @@ class TestExtraRules:
     def test_self_copy_is_inert(self):
         abox = {P.member(b, D), P.rel_i(b, y)}
         rules = P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, b))
-        plain = P.check_consistency(abox)
+        plain = P.saturate(abox)
         copied = P.saturate(abox, rules)
         assert set(copied.assertions) == set(plain.assertions)
         assert copied.is_consistent
@@ -220,7 +221,7 @@ class TestInvariants:
         rng = random.Random(11)
         for _ in range(40):
             abox = fuzz.random_abox(rng)
-            plain = P.check_consistency(abox)
+            plain = P.saturate(abox)
             for seed in (1, 2):
                 other = P.saturate(abox, shuffle_seed=seed)
                 assert other.is_consistent == plain.is_consistent
@@ -248,7 +249,7 @@ class TestInvariants:
             if not objs or not feats:
                 continue
             new = P.rel_dia(1, rng.choice(feats), rng.choice(objs))
-            ext = P.check_consistency(abox | {new})
+            ext = P.saturate(abox | {new})
             if not ext.is_consistent:
                 continue
             def box_facts(c):
@@ -349,8 +350,8 @@ class TestInvariants:
 class TestDeterminism:
     def test_identical_runs_identical_traces(self, movies_kb):
         abox = P.unravel(movies_kb)
-        c1 = P.check_consistency(abox)
-        c2 = P.check_consistency(abox)
+        c1 = P.saturate(abox)
+        c2 = P.saturate(abox)
         assert [str(a) for a in c1.assertions] == [str(a) for a in c2.assertions]
         assert c1.stats == c2.stats
 
@@ -359,7 +360,7 @@ class TestDeterminism:
         # b : C1 and C2 in the loop, after what the earlier input derived
         a, b, d = (P.named_obj(n) for n in "abd")
         X, Y, C1, C2 = (P.atom(n) for n in ("X", "Y", "C1", "C2"))
-        comp = P.check_consistency({
+        comp = P.saturate({
             P.member(a, P.meet(X, Y)), P.member(b, C1), P.member(b, C2),
             P.member(d, P.meet(C1, C2))})
         order = list(comp.assertions)

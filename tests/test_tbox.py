@@ -131,6 +131,6 @@ class TestUnravel:
         for text in texts:
             kb = P.parse_kb(text)
             out = unravel(kb)
-            comp = P.check_consistency(out)
+            comp = P.saturate(out)
             assert comp.is_consistent
             assert P.bounded_model_search(out, 3, 3) is not None
