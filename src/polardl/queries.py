@@ -11,6 +11,8 @@ differentiation and identity add creation terms, a membership or extra
 rules, so each resumes from the cached completion and derives only what
 that delta enables.  Negative subsumption adds the creation pairs of
 its two concepts and the subsumption as an extra rule, and resumes too.
+Separation, differentiation and identity take declared names only, as
+the CLI does.
 
 Queries may run concurrently: the cached completion is built once and
 shared read-only; a resumed run keeps its own facts apart from it and
@@ -115,6 +117,15 @@ class QueryEngine:
     def _known(self, ind: S.Individual):
         if ind not in self.completion.individuals:
             raise UnknownNameError(f"{ind} does not occur in the ABox")
+
+    def _declared(self, *inds):
+        """Names of the ABox as written: an extra rule that copies onto a
+        synthetic name can grow without bound."""
+        for ind in inds:
+            self._known(ind)
+            if ind.is_synthetic:
+                raise UnknownNameError(
+                    f"{ind} is synthetic; the query takes declared names")
 
     def _role_indices(self):
         if self.box_roles is not None:
@@ -284,8 +295,7 @@ class QueryEngine:
         `second` provably lacks?  Decided by saturating with the rule
         that copies first's facts to second: entailed iff that clashes."""
         self._require_consistent()
-        self._known(first)
-        self._known(second)
+        self._declared(first, second)
         if first.sort != second.sort:
             raise UnsupportedQueryError("separation compares same-sort names")
         return _clash_answer(self._extend(
@@ -296,7 +306,7 @@ class QueryEngine:
         """Does the ABox entail that the pivot has an lhs-role fact whose
         rhs-role counterpart provably fails?"""
         self._require_consistent()
-        self._known(pivot)
+        self._declared(pivot)
         rules = T.add_extra_rule(T.BASE_RULES,
                                  T.RelationInclusionRule(lhs, rhs, pivot))
         return _clash_answer(self._extend(rules=rules))
@@ -307,8 +317,7 @@ class QueryEngine:
         One saturation with both copy directions: distinguishable iff
         forcing their rows equal is inconsistent."""
         self._require_consistent()
-        self._known(first)
-        self._known(second)
+        self._declared(first, second)
         if first is second:
             return Answer(False, {"kind": "no-clash"})
         if first.sort != second.sort:

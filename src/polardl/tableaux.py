@@ -75,9 +75,11 @@ so the verdict and a consistent fixpoint equal a run from scratch; a
 clashing run may stop at another partial set.
 
 A run owns only what it adds: its facts, the inner index dicts it
-writes (copied on first write) and its relational index (keyed like
-the extra-rule triggers, built on first use).  Reads fall through to
-the base, whose facts come first in completion order.
+writes (copied on first write) and its rows of the relational index
+that saturation keeps, (kind, index, end) -> {partner: fact}.  Reads
+fall through to the base, whose facts come first in completion order.
+Join rules (I, box, dia, box_y, bsq_y, dia_b, bdia_b) look a conclusion
+up there before they build it.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ class Completion:
 
     def __init__(self, input_assertions: frozenset, rules: RuleSet,
                  max_steps, shuffle_seed, occurring: frozenset,
-                 individuals: frozenset):
+                 individuals: frozenset, base: Completion | None = None):
         self.input_assertions = input_assertions
         self.rules = rules
         self.max_steps = max_steps
@@ -261,8 +263,9 @@ class Completion:
 
         # assertion -> (rule label, premises): the facts this run added,
         # its base's, and both in completion order (_Layers once resumed)
-        self.own, self.inherited, self.base = {}, {}, None
+        self.own, self.inherited, self.base = {}, {}, base
         self.provenance = self.own
+        self.rows, self.base_rows = {}, {}  # key -> {partner: fact}
         self.neg_relational: dict = {}   # relational terms under a negation
         self.obj_mem: dict = {}      # b -> {C: None}
         self.feat_mem: dict = {}
@@ -275,22 +278,21 @@ class Completion:
         self.fired = 0               # facts fired
         self.worklist = deque()
 
-        # `occurring` iterates in id-hash order; every walk over it goes
-        # through this list so that the completion order follows the input
-        self.occurring_sorted = sorted(self.occurring, key=str)
-        # a concept is at least as deep as its subconcepts
-        self.abox_depth = S.DepthProfile(
-            max((c.box_depth for c in self.occurring), default=0),
-            max((c.dia_depth for c in self.occurring), default=0))
-        self.meet_partners: dict = {}   # operand -> [(meet, other operand)]
-        self.join_partners: dict = {}
-        for c in self.occurring_sorted:
-            if c.kind == S.MEET or c.kind == S.JOIN:
-                partners = (self.meet_partners if c.kind == S.MEET
-                            else self.join_partners)
-                partners.setdefault(c.left, []).append((c, c.right))
-                if c.right is not c.left:
-                    partners.setdefault(c.right, []).append((c, c.left))
+        # operand -> [(meet, other operand)], likewise for joins, in text
+        # order of the concepts, not id-hash order; a fork's concepts
+        # include its base's, so equal sizes mean that none is new
+        if base is not None and len(occurring) == len(base.occurring):
+            self.meet_partners = base.meet_partners
+            self.join_partners = base.join_partners
+        else:
+            self.meet_partners, self.join_partners = {}, {}
+            for c in sorted(occurring, key=str):
+                if c.kind == S.MEET or c.kind == S.JOIN:
+                    partners = (self.meet_partners if c.kind == S.MEET
+                                else self.join_partners)
+                    partners.setdefault(c.left, []).append((c, c.right))
+                    if c.right is not c.left:
+                        partners.setdefault(c.right, []).append((c, c.left))
 
         self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
         for extra in rules.extras:
@@ -303,6 +305,13 @@ class Completion:
     @property
     def is_consistent(self) -> bool:
         return self.clash is None
+
+    @property
+    def abox_depth(self) -> S.DepthProfile:
+        # a concept is at least as deep as its subconcepts
+        return S.DepthProfile(
+            max((c.box_depth for c in self.occurring), default=0),
+            max((c.dia_depth for c in self.occurring), default=0))
 
     def __contains__(self, a: S.Assertion) -> bool:
         return a in self.provenance
@@ -353,26 +362,14 @@ class Completion:
                     out.append(f"box-image heads a dia-role fact: {a}")
         return tuple(out)
 
-    @cached_property
-    def relational_at(self) -> dict:
-        """Extra-rule trigger key (kind, index, end) -> the positive
-        relational facts this run added of that kind and index with that
-        end, in completion order; the base's are in the base's index."""
-        out: dict = {}
-        for a in self.own:
-            if a.is_relational:
-                out.setdefault((a.kind, a.index, a.left), []).append(a)
-                out.setdefault((a.kind, a.index, a.right), []).append(a)
-        return out
-
     def facts_at(self, key) -> list:
         """The facts with the given trigger key, in completion order."""
         if key[0] == S.MEM_OBJ:
             return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
         if key[0] == S.MEM_FEAT:
             return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
-        own = self.relational_at.get(key, [])
-        return self.base.facts_at(key) + own if self.inherited else own
+        return [*self.base_rows.get(key, {}).values(),
+                *self.rows.get(key, {}).values()]
 
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
@@ -432,11 +429,14 @@ class Completion:
         delta = inputs - self.input_assertions
         run = Completion(inputs, rules, max_steps, shuffle_seed,
                          self.occurring | S.occurring_concepts(delta),
-                         self.individuals | S.individuals_in(delta))
-        run.base = self
-        # fall-through stays one level deep
-        run.inherited = ({**self.inherited, **self.own} if self.inherited
-                         else self.own)
+                         self.individuals | S.individuals_in(delta), self)
+        if self.inherited:   # fall-through stays one level deep
+            run.inherited = {**self.inherited, **self.own}
+            run.base_rows = {**self.base_rows, **{
+                k: {**self.base_rows.get(k, {}), **row}
+                for k, row in self.rows.items()}}
+        else:
+            run.inherited, run.base_rows = self.own, self.rows
         if run.inherited:
             run.provenance = _Layers(run.inherited, run.own)
         run.neg_relational = dict(self.neg_relational)
@@ -465,19 +465,27 @@ class Completion:
                 self.neg_relational[a.inner] = a
                 if a.inner in self.provenance:
                     self.clash = (a.inner, a)
+        elif a.is_relational:
+            hit = self.neg_relational.get(a)
+            if hit is not None:
+                self.clash = (a, hit)
+            self.rows.setdefault((a.kind, a.index, a.left), {})[a.right] = a
+            self.rows.setdefault((a.kind, a.index, a.right), {})[a.left] = a
         else:
-            if a.is_relational:
-                hit = self.neg_relational.get(a)
-                if hit is not None:
-                    self.clash = (a, hit)
             self._index_positive(a)
+
+    def _rows(self, key) -> tuple:
+        """This run's row at a relational key and its base's."""
+        return self.rows.get(key, ()), self.base_rows.get(key, ())
+
+    def _new(self, key, partner) -> bool:
+        return (partner not in self.rows.get(key, ())
+                and partner not in self.base_rows.get(key, ()))
 
     def _index_positive(self, a: S.Assertion):
         # copy-on-write: an inner dict the base shares is copied on first write
-        indexes = self._indexes.get(a.kind)
-        if indexes is None:
-            return
-        mem, base_mem, of, base_of, modal, base_modal, shape = indexes
+        mem, base_mem, of, base_of, modal, base_modal, shape = \
+            self._indexes[a.kind]
         x, c = a.ind, a.concept
         row = mem.get(x)
         if row is None or row is base_mem.get(x):
@@ -520,14 +528,21 @@ class Completion:
         for m, other in self.meet_partners.get(c, ()):
             if other in self.obj_mem.get(b, ()):
                 self.add(S.member(b, m), "and_inv", (a, S.member(b, other)))
-        for y in list(self.feat_of.get(c, ())):
-            self.add(S.rel_i(b, y), "I", (a, S.member(y, c)))
+        # join rules add relational facts only: the columns walked stay put
+        own, based = self._rows((S.REL_I, None, b))
+        for y in self.feat_of.get(c, ()):
+            if y not in own and y not in based:
+                self.add(S.rel_i(b, y), "I", (a, S.member(y, c)))
         if c.kind == S.BOX:
-            for y in list(self.feat_of.get(c.child, ())):
-                self.add(S.rel_box(c.index, b, y), "box",
-                         (a, S.member(y, c.child)))
-        for i, y in list(self.dia_mem.get(c, ())):
-            self.add(S.rel_dia(i, y, b), "dia", (S.member(y, S.dia(i, c)), a))
+            own, based = self._rows((S.REL_BOX, c.index, b))
+            for y in self.feat_of.get(c.child, ()):
+                if y not in own and y not in based:
+                    self.add(S.rel_box(c.index, b, y), "box",
+                             (a, S.member(y, c.child)))
+        for i, y in self.dia_mem.get(c, ()):
+            if self._new((S.REL_DIA, i, b), y):
+                self.add(S.rel_dia(i, y, b), "dia",
+                         (S.member(y, S.dia(i, c)), a))
 
     def fire_feat_membership(self, a):
         y, c = a.ind, a.concept
@@ -537,29 +552,39 @@ class Completion:
         for j, other in self.join_partners.get(c, ()):
             if other in self.feat_mem.get(y, ()):
                 self.add(S.member(y, j), "or_inv", (a, S.member(y, other)))
-        for b in list(self.obj_of.get(c, ())):
-            self.add(S.rel_i(b, y), "I", (S.member(b, c), a))
+        own, based = self._rows((S.REL_I, None, y))
+        for b in self.obj_of.get(c, ()):
+            if b not in own and b not in based:
+                self.add(S.rel_i(b, y), "I", (S.member(b, c), a))
         if c.kind == S.DIA:
-            for b in list(self.obj_of.get(c.child, ())):
-                self.add(S.rel_dia(c.index, y, b), "dia",
-                         (a, S.member(b, c.child)))
-        for i, b in list(self.box_mem.get(c, ())):
-            self.add(S.rel_box(i, b, y), "box", (S.member(b, S.box(i, c)), a))
+            own, based = self._rows((S.REL_DIA, c.index, y))
+            for b in self.obj_of.get(c.child, ()):
+                if b not in own and b not in based:
+                    self.add(S.rel_dia(c.index, y, b), "dia",
+                             (a, S.member(b, c.child)))
+        for i, b in self.box_mem.get(c, ()):
+            if self._new((S.REL_BOX, i, y), b):
+                self.add(S.rel_box(i, b, y), "box",
+                         (S.member(b, S.box(i, c)), a))
 
     def fire_incidence(self, a):
         b, y = a.left, a.right
         if y.kind == S.CLASSIFIER:
             self.add(S.member(b, y.concept), "append_x", (a,))
         elif y.kind == S.ADJ_BOX:
-            self.add(S.rel_box(y.index, b, y.base), "box_y", (a,))
+            if self._new((S.REL_BOX, y.index, b), y.base):
+                self.add(S.rel_box(y.index, b, y.base), "box_y", (a,))
         elif y.kind == S.BLACK_SQ:
-            self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (a,))
+            if self._new((S.REL_DIA, y.index, b), y.base):
+                self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (a,))
         if b.kind == S.CLASSIFIER:
             self.add(S.member(y, b.concept), "append_a", (a,))
         elif b.kind == S.ADJ_DIA:
-            self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
+            if self._new((S.REL_DIA, b.index, y), b.base):
+                self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
         elif b.kind == S.BLACK_DIA:
-            self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
+            if self._new((S.REL_BOX, b.index, y), b.base):
+                self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
 
     def fire_box_fact(self, a):
         i, b, y = a.index, a.left, a.right
@@ -620,7 +645,7 @@ class Completion:
         for a in sorted(self.input_assertions - base.input_assertions,
                         key=str):
             self.add(a, "input", ())
-        fresh = [c for c in self.occurring_sorted if c not in base.occurring]
+        fresh = sorted(self.occurring - base.occurring, key=str)
         self._create(fresh)
         # operand pairs of base facts only: the others fire in the loop
         for c in fresh:

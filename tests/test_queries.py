@@ -326,6 +326,26 @@ class TestSeparation:
         with pytest.raises(UnsupportedQueryError):
             movies_engine.ask_separation(m2, f3)
 
+    def test_synthetic_names_are_refused(self, movies_kb):
+        # a copy rule onto this classifier feature grows without bound;
+        # the step budget turns a regression into a failure, not a hang
+        eng = P.QueryEngine(movies_kb, max_steps=20_000)
+        fdm = P.meet(P.box(1, DM), P.box(2, DM))
+        a, x = P.classifier_obj(fdm), P.classifier_feat(fdm)
+        assert {a, x} <= eng.completion.individuals
+        for ask in (lambda: eng.ask_separation(f4, x),
+                    lambda: eng.ask_separation(x, f4),
+                    lambda: eng.ask_differentiation(f4, x),
+                    lambda: eng.ask_differentiation(x, x, P.Role("dia", 1)),
+                    lambda: eng.ask_identity(f4, x),
+                    lambda: eng.ask_relation_separation(
+                        P.Role("dia", 1), I, x),
+                    lambda: eng.ask_separation(a, m4)):
+            with pytest.raises(UnknownNameError, match="synthetic"):
+                ask()
+        assert eng.saturation_runs == 1
+        assert eng.ask_negative_membership(a, fdm).value is False
+
     def test_feature_separation(self):
         b, u, v = P.named_obj("b"), P.named_feat("u"), P.named_feat("v")
         eng = P.QueryEngine({P.rel_i(b, u), P.neg(P.rel_i(b, v))})

@@ -16,6 +16,9 @@ CORPUS_SEED = 20240811       # as in test_acceptance.py: its first ABoxes
 SLICE = 150
 I, BOX1, DIA1 = P.Role("I"), P.Role("box", 1), P.Role("dia", 1)
 INDEXES = ("obj_mem", "feat_mem", "obj_of", "feat_of", "box_mem", "dia_mem")
+# the rules that join two facts into a relational one, or rewrite an
+# adjoint name into one: each looks its conclusion up before building it
+JOIN_RULES = {"I", "box", "dia", "box_y", "bsq_y", "dia_b", "bdia_b"}
 
 
 def _rules(*extras):
@@ -158,7 +161,14 @@ def test_relational_index_matches_a_scan(corpus):
             _rules(*fuzz.sample_extras(rng, abox)), start=base)
         assert fresh in resumed.occurring and fresh not in base.occurring
         resumed_consistent += resumed.is_consistent
-        for comp in (base, resumed):
+        comps = [base, resumed]
+        if resumed.is_consistent:
+            # a run resumed from a resumed run flattens its base's rows
+            comps.append(P.saturate(
+                resumed.input_assertions
+                | set(S.creation_terms(P.join(P.atom("Again"), fresh))),
+                resumed.rules, start=resumed))
+        for comp in comps:
             roles = {P.Role.of(a) for a in comp.assertions if a.is_relational}
             for role in sorted(roles, key=str):
                 for anchor in comp.objects() + comp.features():
@@ -176,7 +186,7 @@ def _snapshot(comp):
             dict(comp.neg_relational),
             [{k: dict(v) for k, v in getattr(comp, name).items()}
              for name in INDEXES],
-            {k: list(v) for k, v in comp.relational_at.items()})
+            {k: dict(v) for k, v in comp.rows.items()})
 
 
 def _copied_keys(run, base):
@@ -201,7 +211,7 @@ def test_resuming_never_writes_the_start(corpus, movies_kb):
     base = P.saturate(abox)
     m3, m4 = P.named_obj("m3"), P.named_obj("m4")
     f1, f5 = P.named_feat("f1"), P.named_feat("f5")
-    base.related(I, m3, "right")        # builds the base's relational index
+    base.related(I, m3, "right")        # reads the base's relational index
     before = _snapshot(base)
     runs = [P.saturate(abox, _rules(P.CopyRule(I, m3, m4)), start=base),
             P.saturate(abox, _rules(P.CopyRule(I, f5, f1)), start=base),
@@ -225,6 +235,12 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
     rules = _rules(P.CopyRule(I, m3, m4))
     run = base.fork(abox, rules, None, None)
     assert run.own == {} and run.inherited is base.provenance
+    # the relational index is layered: the fork reads the base's rows
+    assert run.rows == {} and run.base_rows is base.rows
+    rows = {k: dict(v) for k, v in base.rows.items()}
+    # no concept is new, so the partner lists are the base's
+    assert run.meet_partners is base.meet_partners
+    assert run.join_partners is base.join_partners
     assert list(run.provenance) == list(base.provenance)
     assert not any(_copied_keys(run, base).values())
     for name in INDEXES:
@@ -240,6 +256,65 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
             # a key holds a copy exactly when the run added to it
             assert (ours[k] is theirs[k]) == (ours[k] == theirs[k]), (name, k)
             assert ours[k].keys() >= theirs[k].keys()
+    assert {k: dict(v) for k, v in base.rows.items()} == rows
+    assert run.rows and all(a in run.own for row in run.rows.values()
+                            for a in row.values())
+
+    # a new concept rebuilds the partner lists
+    new = P.meet(P.atom("GM"), P.atom("Fresh"))
+    run = base.fork(abox | set(S.creation_terms(new)), rules, None, None)
+    assert run.meet_partners is not base.meet_partners
+    assert (new, P.atom("Fresh")) in run.meet_partners[P.atom("GM")]
+
+    # a fork of a resumed run reads one flat layer of rows, equal to
+    # the base's and its own, and writes neither
+    middle = P.saturate(abox, rules, start=base)
+    again = middle.fork(abox, _rules(P.CopyRule(I, m3, m4),
+                                     P.CopyRule(I, m4, m3)), None, None)
+    assert again.rows == {}
+    assert again.base_rows.keys() == base.rows.keys() | middle.rows.keys()
+    for key, row in again.base_rows.items():
+        assert list(row.values()) == middle.facts_at(key)
+    again.resume(middle)
+    assert {k: dict(v) for k, v in base.rows.items()} == rows
+
+
+def _wide_abox(n):
+    """`b : D0 and (D1 and ... D(n-1))` and `c : D0`: the I rule joins
+    every meet classifier with b's memberships."""
+    meet = P.atom(f"D{n - 1}")
+    for i in reversed(range(n - 1)):
+        meet = P.meet(P.atom(f"D{i}"), meet)
+    b, c = P.named_obj("b"), P.named_obj("c")
+    return frozenset({P.member(b, meet), P.member(c, P.atom("D0"))})
+
+
+def test_join_rules_build_only_new_facts(corpus, monkeypatch):
+    """No candidate of a join rule is already known, in runs from
+    scratch, shuffled runs and resumed runs (of resumed runs too), on
+    the corpus slice and on a wide meet."""
+    add, seen = T.Completion.add, []
+
+    def checked_add(run, a, rule, premises):
+        if rule in JOIN_RULES:
+            seen.append(rule)
+            assert a not in run, (rule, str(a))
+        add(run, a, rule, premises)
+
+    monkeypatch.setattr(T.Completion, "add", checked_add)
+    rng = random.Random(CORPUS_SEED + 4)
+    wide = _wide_abox(20)
+    cases = list(corpus) + [(wide, None)]
+    more = set(S.creation_terms(P.meet(P.atom("Again"), P.atom("D0"))))
+    for n, (abox, _) in enumerate(cases):
+        base = P.saturate(abox)
+        P.saturate(abox, shuffle_seed=n)
+        for _, added, rules in _extensions(abox, rng):
+            inputs = abox | set(added)
+            run = P.saturate(inputs, rules, start=base)
+            if run.is_consistent:
+                P.saturate(inputs | more, rules, start=run, shuffle_seed=n)
+    assert set(seen) == JOIN_RULES and len(seen) > 20_000
 
 
 def _certificate_by_scan(comp):
@@ -294,6 +369,7 @@ def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
     assert not (empty.input_assertions or empty.occurring or empty.individuals
                 or empty.rules.extras)
     assert not (empty.provenance or empty.neg_relational or empty.stats
+                or empty.rows or empty.base_rows
                 or empty.obj_mem or empty.feat_mem or empty.obj_of
                 or empty.feat_of or empty.box_mem or empty.dia_mem)
     assert empty.fired == 0 and empty.clash is None
