@@ -129,6 +129,13 @@ def _arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# what bad input raises: OSError, a file that cannot be read (a KB or an
+# --equiv file); ValueError, a role name or term the input cannot form;
+# RecursionError, input nested deeper than the recursive parser and term
+# walkers reach
+_INPUT_ERRORS = (PolardlError, OSError, ValueError, RecursionError)
+
+
 def _load(path: str) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kb(fh.read())
@@ -275,8 +282,7 @@ def _cmd_ask(args) -> int:
                 _check_query(sub, ap.error)
                 sub.trace = sub.trace or args.trace
                 payload = _run_ask_query(sub, kb, engine)
-            except (PolardlError, ValueError, RecursionError,
-                    argparse.ArgumentError) as exc:
+            except (*_INPUT_ERRORS, argparse.ArgumentError) as exc:
                 failed = True
                 payload = _error_payload(exc)
                 print(f"error: {line}: {exc}", file=sys.stderr)
@@ -331,10 +337,7 @@ def main(argv=None) -> int:
         if args.command == "model":
             return _cmd_model(args)
         return _cmd_trace(args)
-    except (PolardlError, OSError, ValueError, RecursionError) as exc:
-        # ValueError: a role name or term the input cannot form;
-        # RecursionError: input nested deeper than the recursive parser
-        # and term walkers reach
+    except _INPUT_ERRORS as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps(_error_payload(exc), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,8 @@ subsumption query.  There are three forms.  Each has trigger keys and a
 ``conclude(fact)``, compiled into one dict when saturation starts.  A
 positive relational fact fires the rules keyed by (its kind, its index,
 either of its ends); a membership fact fires those keyed by (its kind,
-its concept).  A run without extra rules never looks a fact up.
+None, its concept).  These are keys of the index below.  A run without
+extra rules never looks a fact up.
 
     CopyRule(R, s, d), s and d of one sort; key (R, s):
         a fact of s under R           =>  the same fact with d for s
@@ -74,12 +75,18 @@ base fact has fired, rules are monotone and side conditions only grow,
 so the verdict and a consistent fixpoint equal a run from scratch; a
 clashing run may stop at another partial set.
 
-A run owns only what it adds: its facts, the inner index dicts it
-writes (copied on first write) and its rows of the relational index
-that saturation keeps, (kind, index, end) -> {partner: fact}.  Reads
-fall through to the base, whose facts come first in completion order.
-Join rules (I, box, dia, box_y, bsq_y, dia_b, bdia_b) look a conclusion
-up there before they build it.
+Saturation indexes every positive fact by key, key -> {partner: fact}:
+
+    b Rboxi y:  (rbox, i, b) -> {y: fact},  (rbox, i, y) -> {b: fact}
+    b : C:      (mobj, None, b) -> {C: fact},  (mobj, None, C) -> {b: fact}
+    b : boxi C: also (mobj, box, C) -> {(i, b): fact}
+
+and likewise for I and dia-role facts, and for feature memberships
+(mfeat, with dia in place of box).  A run owns only what it adds: its
+facts and its rows.  Every read takes the base's row first, then the
+run's own, so rows and facts follow completion order.  Join rules (I,
+box, dia, box_y, bsq_y, dia_b, bdia_b) look a conclusion up there
+before they build it.
 """
 
 from __future__ import annotations
@@ -183,7 +190,7 @@ class SubsumptionRule:
 
     @property
     def triggers(self):
-        return ((S.MEM_OBJ, self.c1), (S.MEM_FEAT, self.c2))
+        return ((S.MEM_OBJ, None, self.c1), (S.MEM_FEAT, None, self.c2))
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         return S.member(a.ind, self.c2 if a.kind == S.MEM_OBJ else self.c1)
@@ -226,6 +233,9 @@ def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
 # Completion: one saturation run, which once finished is its result
 # ---------------------------------------------------------------------------
 
+_NO_ROW: dict = {}   # the row of a key nothing is indexed under; never written
+
+
 class _Layers(Mapping):
     """A resumed run's provenance: the base's facts, then its own."""
 
@@ -267,12 +277,6 @@ class Completion:
         self.provenance = self.own
         self.rows, self.base_rows = {}, {}  # key -> {partner: fact}
         self.neg_relational: dict = {}   # relational terms under a negation
-        self.obj_mem: dict = {}      # b -> {C: None}
-        self.feat_mem: dict = {}
-        self.obj_of: dict = {}       # C -> {b: None}
-        self.feat_of: dict = {}
-        self.box_mem: dict = {}      # child C -> {(i, b): None}
-        self.dia_mem: dict = {}      # child C -> {(i, y): None}
         self.clash = None            # (positive term, its negation)
         self.stats: dict = {}        # rule label -> additions
         self.fired = 0               # facts fired
@@ -363,13 +367,9 @@ class Completion:
         return tuple(out)
 
     def facts_at(self, key) -> list:
-        """The facts with the given trigger key, in completion order."""
-        if key[0] == S.MEM_OBJ:
-            return [S.member(b, key[1]) for b in self.obj_of.get(key[1], ())]
-        if key[0] == S.MEM_FEAT:
-            return [S.member(y, key[1]) for y in self.feat_of.get(key[1], ())]
-        return [*self.base_rows.get(key, {}).values(),
-                *self.rows.get(key, {}).values()]
+        """The facts indexed under the given key, in completion order."""
+        based, own = self._rows(key)
+        return [*based.values(), *own.values()]
 
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals n with the (anchor, n) fact (side 'right') or the
@@ -425,7 +425,7 @@ class Completion:
              shuffle_seed) -> Completion:
         """A run over the given inputs and rules that starts from this
         finished run's facts.  It shares them and never writes them: it
-        adds to its own layer and copies only the outer index dicts."""
+        adds to its own layer of facts and rows."""
         delta = inputs - self.input_assertions
         run = Completion(inputs, rules, max_steps, shuffle_seed,
                          self.occurring | S.occurring_concepts(delta),
@@ -442,14 +442,6 @@ class Completion:
         run.neg_relational = dict(self.neg_relational)
         run.stats = dict(self.stats)
         run.fired = self.fired
-        for name in ("obj_mem", "feat_mem", "obj_of", "feat_of",
-                     "box_mem", "dia_mem"):
-            setattr(run, name, getattr(self, name).copy())
-        run._indexes = {
-            S.MEM_OBJ: (run.obj_mem, self.obj_mem, run.obj_of, self.obj_of,
-                        run.box_mem, self.box_mem, S.BOX),
-            S.MEM_FEAT: (run.feat_mem, self.feat_mem, run.feat_of,
-                         self.feat_of, run.dia_mem, self.dia_mem, S.DIA)}
         return run
 
     # -- fact store ----------------------------------------------------------
@@ -460,6 +452,7 @@ class Completion:
         self.own[a] = (rule, premises)
         self.stats[rule] = self.stats.get(rule, 0) + 1
         self.worklist.append(a)
+        rows = self.rows
         if a.kind == S.NEG:
             if a.inner.is_relational:
                 self.neg_relational[a.inner] = a
@@ -469,37 +462,23 @@ class Completion:
             hit = self.neg_relational.get(a)
             if hit is not None:
                 self.clash = (a, hit)
-            self.rows.setdefault((a.kind, a.index, a.left), {})[a.right] = a
-            self.rows.setdefault((a.kind, a.index, a.right), {})[a.left] = a
+            rows.setdefault((a.kind, a.index, a.left), {})[a.right] = a
+            rows.setdefault((a.kind, a.index, a.right), {})[a.left] = a
         else:
-            self._index_positive(a)
+            x, c = a.ind, a.concept
+            rows.setdefault((a.kind, None, x), {})[c] = a
+            rows.setdefault((a.kind, None, c), {})[x] = a
+            if c.kind == (S.BOX if a.kind == S.MEM_OBJ else S.DIA):
+                key = (a.kind, c.kind, c.child)
+                rows.setdefault(key, {})[c.index, x] = a
 
     def _rows(self, key) -> tuple:
-        """This run's row at a relational key and its base's."""
-        return self.rows.get(key, ()), self.base_rows.get(key, ())
+        """The base's row at a key, then this run's own."""
+        return self.base_rows.get(key, _NO_ROW), self.rows.get(key, _NO_ROW)
 
-    def _new(self, key, partner) -> bool:
-        return (partner not in self.rows.get(key, ())
-                and partner not in self.base_rows.get(key, ()))
-
-    def _index_positive(self, a: S.Assertion):
-        # copy-on-write: an inner dict the base shares is copied on first write
-        mem, base_mem, of, base_of, modal, base_modal, shape = \
-            self._indexes[a.kind]
-        x, c = a.ind, a.concept
-        row = mem.get(x)
-        if row is None or row is base_mem.get(x):
-            row = mem[x] = row.copy() if row else {}
-        row[c] = None
-        col = of.get(c)
-        if col is None or col is base_of.get(c):
-            col = of[c] = col.copy() if col else {}
-        col[x] = None
-        if c.kind == shape:
-            col = modal.get(c.child)
-            if col is None or col is base_modal.get(c.child):
-                col = modal[c.child] = col.copy() if col else {}
-            col[(c.index, x)] = None
+    def _has(self, key, partner) -> bool:
+        based, own = self._rows(key)
+        return partner in own or partner in based
 
     # -- rule dispatch -------------------------------------------------------
 
@@ -526,23 +505,24 @@ class Completion:
             self.add(S.member(b, c.left), "and_A", (a,))
             self.add(S.member(b, c.right), "and_A", (a,))
         for m, other in self.meet_partners.get(c, ()):
-            if other in self.obj_mem.get(b, ()):
+            if self._has((S.MEM_OBJ, None, b), other):
                 self.add(S.member(b, m), "and_inv", (a, S.member(b, other)))
-        # join rules add relational facts only: the columns walked stay put
-        own, based = self._rows((S.REL_I, None, b))
-        for y in self.feat_of.get(c, ()):
-            if y not in own and y not in based:
-                self.add(S.rel_i(b, y), "I", (a, S.member(y, c)))
-        if c.kind == S.BOX:
-            own, based = self._rows((S.REL_BOX, c.index, b))
-            for y in self.feat_of.get(c.child, ()):
+        # join rules add relational facts only: the rows walked stay put
+        based, own = self._rows((S.REL_I, None, b))
+        for row in self._rows((S.MEM_FEAT, None, c)):
+            for y in row:
                 if y not in own and y not in based:
-                    self.add(S.rel_box(c.index, b, y), "box",
-                             (a, S.member(y, c.child)))
-        for i, y in self.dia_mem.get(c, ()):
-            if self._new((S.REL_DIA, i, b), y):
-                self.add(S.rel_dia(i, y, b), "dia",
-                         (S.member(y, S.dia(i, c)), a))
+                    self.add(S.rel_i(b, y), "I", (a, row[y]))
+        if c.kind == S.BOX:
+            based, own = self._rows((S.REL_BOX, c.index, b))
+            for row in self._rows((S.MEM_FEAT, None, c.child)):
+                for y in row:
+                    if y not in own and y not in based:
+                        self.add(S.rel_box(c.index, b, y), "box", (a, row[y]))
+        for row in self._rows((S.MEM_FEAT, S.DIA, c)):
+            for (i, y), p in row.items():
+                if not self._has((S.REL_DIA, i, b), y):
+                    self.add(S.rel_dia(i, y, b), "dia", (p, a))
 
     def fire_feat_membership(self, a):
         y, c = a.ind, a.concept
@@ -550,40 +530,41 @@ class Completion:
             self.add(S.member(y, c.left), "or_X", (a,))
             self.add(S.member(y, c.right), "or_X", (a,))
         for j, other in self.join_partners.get(c, ()):
-            if other in self.feat_mem.get(y, ()):
+            if self._has((S.MEM_FEAT, None, y), other):
                 self.add(S.member(y, j), "or_inv", (a, S.member(y, other)))
-        own, based = self._rows((S.REL_I, None, y))
-        for b in self.obj_of.get(c, ()):
-            if b not in own and b not in based:
-                self.add(S.rel_i(b, y), "I", (S.member(b, c), a))
-        if c.kind == S.DIA:
-            own, based = self._rows((S.REL_DIA, c.index, y))
-            for b in self.obj_of.get(c.child, ()):
+        based, own = self._rows((S.REL_I, None, y))
+        for row in self._rows((S.MEM_OBJ, None, c)):
+            for b in row:
                 if b not in own and b not in based:
-                    self.add(S.rel_dia(c.index, y, b), "dia",
-                             (a, S.member(b, c.child)))
-        for i, b in self.box_mem.get(c, ()):
-            if self._new((S.REL_BOX, i, y), b):
-                self.add(S.rel_box(i, b, y), "box",
-                         (S.member(b, S.box(i, c)), a))
+                    self.add(S.rel_i(b, y), "I", (row[b], a))
+        if c.kind == S.DIA:
+            based, own = self._rows((S.REL_DIA, c.index, y))
+            for row in self._rows((S.MEM_OBJ, None, c.child)):
+                for b in row:
+                    if b not in own and b not in based:
+                        self.add(S.rel_dia(c.index, y, b), "dia", (a, row[b]))
+        for row in self._rows((S.MEM_OBJ, S.BOX, c)):
+            for (i, b), p in row.items():
+                if not self._has((S.REL_BOX, i, y), b):
+                    self.add(S.rel_box(i, b, y), "box", (p, a))
 
     def fire_incidence(self, a):
         b, y = a.left, a.right
         if y.kind == S.CLASSIFIER:
             self.add(S.member(b, y.concept), "append_x", (a,))
         elif y.kind == S.ADJ_BOX:
-            if self._new((S.REL_BOX, y.index, b), y.base):
+            if not self._has((S.REL_BOX, y.index, b), y.base):
                 self.add(S.rel_box(y.index, b, y.base), "box_y", (a,))
         elif y.kind == S.BLACK_SQ:
-            if self._new((S.REL_DIA, y.index, b), y.base):
+            if not self._has((S.REL_DIA, y.index, b), y.base):
                 self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (a,))
         if b.kind == S.CLASSIFIER:
             self.add(S.member(y, b.concept), "append_a", (a,))
         elif b.kind == S.ADJ_DIA:
-            if self._new((S.REL_DIA, b.index, y), b.base):
+            if not self._has((S.REL_DIA, b.index, y), b.base):
                 self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
         elif b.kind == S.BLACK_DIA:
-            if self._new((S.REL_BOX, b.index, y), b.base):
+            if not self._has((S.REL_BOX, b.index, y), b.base):
                 self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
 
     def fire_box_fact(self, a):
@@ -597,10 +578,10 @@ class Completion:
         self.add(S.rel_i(b, S.black_square(y, i)), "adj_dia", (a,))
 
     def fire_extras(self, a):
-        if a.kind == S.MEM_OBJ or a.kind == S.MEM_FEAT:
-            keys = ((a.kind, a.concept),)
-        else:
+        if a.is_relational:
             keys = ((a.kind, a.index, a.left), (a.kind, a.index, a.right))
+        else:
+            keys = ((a.kind, None, a.concept),)
         for key in keys:
             for conclude, label in self.extra_rules.get(key, ()):
                 self.add(conclude(a), label, (a,))
@@ -649,16 +630,13 @@ class Completion:
         self._create(fresh)
         # operand pairs of base facts only: the others fire in the loop
         for c in fresh:
-            if c.kind == S.MEET:
-                for b in base.obj_of.get(c.left, ()):
-                    if c.right in base.obj_mem[b]:
-                        self.add(S.member(b, c), "and_inv",
-                                 (S.member(b, c.left), S.member(b, c.right)))
-            elif c.kind == S.JOIN:
-                for y in base.feat_of.get(c.left, ()):
-                    if c.right in base.feat_mem[y]:
-                        self.add(S.member(y, c), "or_inv",
-                                 (S.member(y, c.left), S.member(y, c.right)))
+            if c.kind == S.MEET or c.kind == S.JOIN:
+                kind, label = ((S.MEM_OBJ, "and_inv") if c.kind == S.MEET
+                               else (S.MEM_FEAT, "or_inv"))
+                for p in base.facts_at((kind, None, c.left)):
+                    if base._has((kind, None, p.ind), c.right):
+                        self.add(S.member(p.ind, c), label,
+                                 (p, S.member(p.ind, c.right)))
         return self._loop()
 
     def _loop(self) -> Completion:

@@ -71,25 +71,27 @@ def _names(abox, sort):
                   key=str)
 
 
-def main():
-    corpus = fuzz.consistent_corpus(CORPUS_SEED, CORPUS_SIZE)
+def printed(label, line) -> str:
+    """The printed line of a run: its label, then its `_line`."""
+    return " ".join([str(label[0]), label[1].replace(" ", ""), *line])
+
+
+def each_run(corpus, visit):
+    """Make the runs listed above for each ABox of the corpus, in order,
+    calling visit(label, comp, again) after every saturation: label is
+    (ABox number, run name), and again() makes the same run from scratch
+    when it was given `start` (None otherwise)."""
     rng = random.Random(CORPUS_SEED + 2)
     label = None        # (abox number, run name) of the next saturation
-    count = resumed = mismatches = 0
     inner = T.saturate
 
     def recording(assertions, rules=T.BASE_RULES, **kwargs):
-        nonlocal count, resumed, mismatches
         comp = inner(assertions, rules, **kwargs)
-        line = _line(comp)
-        print(label[0], label[1].replace(" ", ""), *line)
-        count += 1
+        again = None
         if kwargs.pop("start", None) is not None:
-            _, sset, verdict = _line(inner(assertions, rules, **kwargs))
-            resumed += 1
-            if verdict != line[2] or (verdict == "consistent"
-                                      and sset != line[1]):
-                mismatches += 1
+            def again():
+                return inner(assertions, rules, **kwargs)
+        visit(label, comp, again)
         return comp
 
     T.saturate = recording
@@ -128,6 +130,23 @@ def main():
     finally:
         T.saturate = inner
 
+
+def main():
+    count = resumed = mismatches = 0
+
+    def visit(label, comp, again):
+        nonlocal count, resumed, mismatches
+        line = _line(comp)
+        print(printed(label, line))
+        count += 1
+        if again is not None:
+            _, sset, verdict = _line(again())
+            resumed += 1
+            if verdict != line[2] or (verdict == "consistent"
+                                      and sset != line[1]):
+                mismatches += 1
+
+    each_run(fuzz.consistent_corpus(CORPUS_SEED, CORPUS_SIZE), visit)
     print("runs", count, file=sys.stderr)
     print("resumed", resumed, "differ from scratch", mismatches,
           file=sys.stderr)

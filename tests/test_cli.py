@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import shlex
 import tempfile
 
 import pytest
@@ -234,6 +235,21 @@ class TestAsk:
         assert docs[2]["answer"] is True
         assert bad in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_batch_goes_on_after_an_unreadable_equiv_file(self, tmp_path,
+                                                          fmt):
+        missing = tmp_path / "missing.kb"
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"--rel m3 I f4\n--equiv {missing}\n"
+                         "--member m1 GM\n")
+        code, out, err = run_cli("ask", MOVIES, "--batch", str(batch),
+                                 "--format", fmt)
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d.get("answer") for d in docs] == [True, None, False]
+        assert docs[1]["error"]["type"] == "FileNotFoundError"
+        assert str(missing) in docs[1]["error"]["message"]
+        assert f"--equiv {missing}" in err
 
     @pytest.mark.parametrize("bad, message", [
         ("--neg --dif m2 m4", "--neg applies only to"),
@@ -364,6 +380,53 @@ _KB_TEXT = st.tuples(
         lambda parts: parts[0] + "\n".join(parts[1]))
 
 
+# -- random --batch lines over movies.kb --------------------------------------
+
+_M_NAMES = st.sampled_from(["m1", "m2", "m3", "m4", "f1", "f3", "f5", "x0",
+                            "m9", "GM", "I"])
+_M_ROLES = st.sampled_from(["I", "Rbox1", "Rbox2", "Rdia1", "Rdia2", "Rbox3",
+                            "Rfoo", "m1"])
+_M_CONCEPTS = st.recursive(
+    st.sampled_from(["GM", "FM", "IM", "EUM", "RDM", "DM", "RM", "FDM",
+                     "Zed", "m1", "("]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(" ".join),
+        st.tuples(st.sampled_from(["box1", "dia1", "box2", "dia2", "box3",
+                                   "not"]), inner).map(" ".join),
+        inner.map("( {} )".format)),
+    max_leaves=5).map(shlex.quote)
+_M_TERMS = st.one_of(
+    st.builds("{} : {}".format, _M_NAMES, _M_CONCEPTS),
+    st.builds("{} :: {}".format, _M_NAMES, _M_CONCEPTS),
+    st.builds("{} {} {}".format, _M_NAMES, _M_ROLES, _M_NAMES)).map(
+        shlex.quote)
+_QUERY_LINES = st.one_of(
+    st.builds("--rel {} {} {}".format, _M_NAMES, _M_ROLES, _M_NAMES),
+    st.builds("--list-related {} {}{}".format, _M_NAMES, _M_ROLES,
+              st.sampled_from(["", " --side left", " --side up",
+                               " --include-synthetic"])),
+    st.builds("{}--member {} {}".format, st.sampled_from(["", "--neg "]),
+              _M_NAMES, _M_CONCEPTS),
+    st.builds("--list-members {}{}".format, _M_CONCEPTS,
+              st.sampled_from(["", " --side intent", " --side left"])),
+    st.builds("{}--subsume {} {}".format, st.sampled_from(["", "--neg "]),
+              _M_CONCEPTS, _M_CONCEPTS),
+    st.lists(_M_TERMS, min_size=1, max_size=3).map(
+        lambda terms: " ".join(f"--disj {t}" for t in terms)),
+    st.builds("--sep {} {} {}".format, _M_ROLES, _M_NAMES, _M_NAMES),
+    st.builds("--sep-rel {} {} {}".format, _M_ROLES, _M_ROLES, _M_NAMES),
+    st.builds("--dif {} {}{}".format, _M_NAMES, _M_NAMES,
+              st.sampled_from(["", " --role Rbox1", " --role Rfoo"])),
+    st.builds("--identity {} {}".format, _M_NAMES, _M_NAMES),
+    st.sampled_from(["--equiv {movies}", "--equiv {clash}",
+                     "--equiv {missing}", "--equiv {tmp}"]),
+    st.lists(st.sampled_from(
+        ["--rel", "--member", "--neg", "--dif", "--equiv", "--side", "-h",
+         "--bogus", "m1", "f3", "GM", "I", "'", '"', "#", "(", "and",
+         "\u00e9", "--trace", "--max-steps"]), min_size=1, max_size=6).map(
+            " ".join))
+
+
 class TestRandomInput:
     @settings(max_examples=150, deadline=None)
     @given(_KB_TEXT)
@@ -377,3 +440,26 @@ class TestRandomInput:
                         contextlib.redirect_stderr(io.StringIO()):
                     code = main([*argv, str(kb)])
                 assert code in (0, 1, 2), (argv, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_QUERY_LINES, min_size=1, max_size=4))
+    def test_random_batch_lines_give_one_record_each(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"movies": MOVIES, "clash": CLASH, "tmp": tmp,
+                     "missing": str(pathlib.Path(tmp) / "missing.kb")}
+            lines = [line.format(**paths) if line.startswith("--equiv")
+                     else line for line in lines]
+            batch = pathlib.Path(tmp) / "queries.txt"
+            batch.write_text("\n".join(lines), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["ask", MOVIES, "--batch", str(batch),
+                             "--max-steps", "20000"])
+        queries = [line for line in lines
+                   if line.strip() and not line.strip().startswith("#")]
+        assert code in (0, 2), lines
+        records = out.getvalue().splitlines()
+        assert len(records) == len(queries), lines
+        for record in records:
+            assert isinstance(json.loads(record), dict), lines

@@ -15,7 +15,13 @@ import fuzz
 CORPUS_SEED = 20240811       # as in test_acceptance.py: its first ABoxes
 SLICE = 150
 I, BOX1, DIA1 = P.Role("I"), P.Role("box", 1), P.Role("dia", 1)
-INDEXES = ("obj_mem", "feat_mem", "obj_of", "feat_of", "box_mem", "dia_mem")
+# the families of index keys (see `_family`): one per fact kind for
+# relational keys; per membership kind, keys by individual, by concept,
+# and by the child of a box (dia) concept
+FAMILIES = (S.REL_I, S.REL_BOX, S.REL_DIA,
+            (S.MEM_OBJ, "Individual"), (S.MEM_OBJ, "Concept"),
+            (S.MEM_OBJ, S.BOX), (S.MEM_FEAT, "Individual"),
+            (S.MEM_FEAT, "Concept"), (S.MEM_FEAT, S.DIA))
 # the rules that join two facts into a relational one, or rewrite an
 # adjoint name into one: each looks its conclusion up before building it
 JOIN_RULES = {"I", "box", "dia", "box_y", "bsq_y", "dia_b", "bdia_b"}
@@ -144,14 +150,16 @@ def _related_by_scan(comp, role, anchor, side):
     return out
 
 
-def test_relational_index_matches_a_scan(corpus):
-    """`related` on every role present, every individual and both sides,
-    on the base completions and on one resumed completion per ABox that
-    adds a concept new to the ABox (as `list_members` of an absent
-    concept does) under the rules of `fuzz.sample_extras`."""
+@pytest.fixture(scope="module")
+def indexed_runs(corpus):
+    """Per ABox of the slice: its base completion; one resumed completion
+    that adds a concept new to the ABox (as `list_members` of an absent
+    concept does) under the rules of `fuzz.sample_extras`; and, when
+    that one is consistent, a run resumed from it, which flattens its
+    base's rows."""
     rng = random.Random(CORPUS_SEED + 3)
-    checked = resumed_consistent = 0
-    for n, (abox, base) in enumerate(corpus):
+    out = []
+    for abox, base in corpus:
         fresh = P.atom("Fresh")
         occurring = sorted(S.occurring_concepts(abox), key=str)
         if occurring:
@@ -160,14 +168,22 @@ def test_relational_index_matches_a_scan(corpus):
             abox | set(S.creation_terms(fresh)),
             _rules(*fuzz.sample_extras(rng, abox)), start=base)
         assert fresh in resumed.occurring and fresh not in base.occurring
-        resumed_consistent += resumed.is_consistent
         comps = [base, resumed]
         if resumed.is_consistent:
-            # a run resumed from a resumed run flattens its base's rows
             comps.append(P.saturate(
                 resumed.input_assertions
                 | set(S.creation_terms(P.join(P.atom("Again"), fresh))),
                 resumed.rules, start=resumed))
+        out.append(comps)
+    return out
+
+
+def test_relational_index_matches_a_scan(indexed_runs):
+    """`related` on every role present, every individual and both sides,
+    on the runs of `indexed_runs`."""
+    checked = 0
+    resumed_consistent = sum(len(comps) == 3 for comps in indexed_runs)
+    for n, comps in enumerate(indexed_runs):
         for comp in comps:
             roles = {P.Role.of(a) for a in comp.assertions if a.is_relational}
             for role in sorted(roles, key=str):
@@ -180,20 +196,63 @@ def test_relational_index_matches_a_scan(corpus):
     assert resumed_consistent > 0 and checked > 100 * SLICE
 
 
+def _membership_rows_by_scan(comp):
+    """The reference for the membership keys of the index: one scan of
+    the whole completion, in completion order."""
+    rows = {}
+    for a in comp.assertions:
+        if a.kind == S.MEM_OBJ or a.kind == S.MEM_FEAT:
+            c = a.concept
+            keys = [(a.kind, None, a.ind), (a.kind, None, c)]
+            if c.kind == (S.BOX if a.kind == S.MEM_OBJ else S.DIA):
+                keys.append((a.kind, c.kind, c.child))
+            for key in keys:
+                rows.setdefault(key, []).append(a)
+    return rows
+
+
+def test_membership_index_matches_a_scan(indexed_runs):
+    """`facts_at` of every membership key, by individual, by concept and
+    by the child of a box (dia) concept, on the runs of `indexed_runs`,
+    also at keys that hold nothing."""
+    checked = 0
+    for n, comps in enumerate(indexed_runs):
+        for comp in comps:
+            expected = _membership_rows_by_scan(comp)
+            held = {k for k in comp.rows.keys() | comp.base_rows.keys()
+                    if k[0] in (S.MEM_OBJ, S.MEM_FEAT)}
+            assert held == expected.keys(), n
+            ends = comp.objects() + comp.features() + tuple(comp.occurring)
+            for kind, modal in ((S.MEM_OBJ, S.BOX), (S.MEM_FEAT, S.DIA)):
+                keys = [(kind, None, end) for end in ends]
+                keys += [(kind, modal, c) for c in comp.occurring]
+                for key in keys:
+                    assert comp.facts_at(key) == expected.get(key, []), \
+                        (n, key[0], key[1], str(key[2]))
+                    checked += 1
+    assert checked > 100 * SLICE
+
+
+def _family(key):
+    kind, shape, end = key
+    if kind == S.MEM_OBJ or kind == S.MEM_FEAT:
+        return kind, shape or type(end).__name__
+    return kind
+
+
 def _snapshot(comp):
-    """A completion's facts, counts and indexes, by value."""
+    """A completion's facts, counts and index rows, by value."""
     return (comp.assertions, dict(comp.provenance), dict(comp.stats),
             dict(comp.neg_relational),
-            [{k: dict(v) for k, v in getattr(comp, name).items()}
-             for name in INDEXES],
             {k: dict(v) for k, v in comp.rows.items()})
 
 
-def _copied_keys(run, base):
-    """Per index, the base's keys whose inner dict the run has copied."""
-    return {name: [k for k, v in getattr(base, name).items()
-                   if getattr(run, name)[k] is not v]
-            for name in INDEXES}
+def _written_keys(run, base):
+    """Per key family, the base's keys under which the run holds a row of
+    its own."""
+    return {family: [k for k in base.rows
+                     if k in run.rows and _family(k) == family]
+            for family in FAMILIES}
 
 
 def test_resuming_never_writes_the_start(corpus, movies_kb):
@@ -220,15 +279,16 @@ def test_resuming_never_writes_the_start(corpus, movies_kb):
     for run in runs:
         run.related(I, m3, "right")
         run.clash_certificate()
-    copied = [_copied_keys(run, base) for run in runs]
-    assert all(any(c[name] for c in copied) for name in INDEXES)
-    assert all(c["obj_mem"] for c in (copied[0], copied[2]))
+    written = [_written_keys(run, base) for run in runs]
+    assert all(any(w[family] for w in written) for family in FAMILIES)
+    by_object = (S.MEM_OBJ, "Individual")
+    assert all(w[by_object] for w in (written[0], written[2]))
     assert _snapshot(base) == before
 
 
 def test_a_fork_shares_the_base_until_it_writes(movies_kb):
-    """A fork owns no facts and shares every inner index dict of its
-    base; after the run, exactly the keys it wrote hold copies."""
+    """A fork owns no facts or rows and reads its base's; after the run,
+    it holds a row exactly at the keys it added facts under."""
     abox = P.unravel(movies_kb)
     base = P.saturate(abox)
     m3, m4 = P.named_obj("m3"), P.named_obj("m4")
@@ -242,20 +302,20 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
     assert run.meet_partners is base.meet_partners
     assert run.join_partners is base.join_partners
     assert list(run.provenance) == list(base.provenance)
-    assert not any(_copied_keys(run, base).values())
-    for name in INDEXES:
-        assert getattr(run, name).keys() == getattr(base, name).keys()
+    assert not any(_written_keys(run, base).values())
+    for k in base.rows:
+        assert run.facts_at(k) == base.facts_at(k)
     run.resume(base)
     assert run.own and list(run.provenance) == list(base.provenance) + \
         list(run.own)
-    copied = _copied_keys(run, base)
-    assert copied["obj_mem"] == [m4] and copied["obj_of"]
-    for name in INDEXES:
-        ours, theirs = getattr(run, name), getattr(base, name)
-        for k in theirs:
-            # a key holds a copy exactly when the run added to it
-            assert (ours[k] is theirs[k]) == (ours[k] == theirs[k]), (name, k)
-            assert ours[k].keys() >= theirs[k].keys()
+    written = _written_keys(run, base)
+    assert written[(S.MEM_OBJ, "Individual")] == [(S.MEM_OBJ, None, m4)]
+    assert written[(S.MEM_OBJ, "Concept")]
+    for k, theirs in base.rows.items():
+        # the run reads the base's row, then what it added under the key
+        ours = run.rows.get(k, {})
+        assert run.facts_at(k) == [*theirs.values(), *ours.values()], k
+        assert not ours.keys() & theirs.keys(), k
     assert {k: dict(v) for k, v in base.rows.items()} == rows
     assert run.rows and all(a in run.own for row in run.rows.values()
                             for a in row.values())
@@ -369,9 +429,7 @@ def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
     assert not (empty.input_assertions or empty.occurring or empty.individuals
                 or empty.rules.extras)
     assert not (empty.provenance or empty.neg_relational or empty.stats
-                or empty.rows or empty.base_rows
-                or empty.obj_mem or empty.feat_mem or empty.obj_of
-                or empty.feat_of or empty.box_mem or empty.dia_mem)
+                or empty.rows or empty.base_rows)
     assert empty.fired == 0 and empty.clash is None
 
 

@@ -377,6 +377,23 @@ class TestDeterminism:
                  for _, comp in corpus)
         assert dev_sequence_digest._digest(lines) == "b4c7869014dab029"
 
+    def test_resumed_completion_order_is_pinned(self):
+        # the lines that tests/dev_sequence_digest.py prints for the runs
+        # other than the base runs of its first 150 corpus ABoxes, hashed
+        # into one; most of them resume the base run
+        lines = []
+
+        def visit(label, comp, again):
+            if label[1] != "base":
+                lines.append(dev_sequence_digest.printed(
+                    label, dev_sequence_digest._line(comp)))
+
+        dev_sequence_digest.each_run(
+            fuzz.consistent_corpus(dev_sequence_digest.CORPUS_SEED, 150),
+            visit)
+        assert len(lines) == 3056
+        assert dev_sequence_digest._digest(lines) == "9508503abff8b022"
+
     def test_trace_bytes_do_not_follow_memory_layout(self, tmp_path):
         # D is an operand of six occurring meets, so and_inv's partner list
         # decides the order in which b's meets are added.  Each interpreter
