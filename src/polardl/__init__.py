@@ -20,9 +20,8 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
 from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)
 from .tbox import rewrite_gci, check_acyclic, unravel, definition_map
-from .tableaux import (RuleSet, BASE_RULES, Completion, saturate,
-                       add_extra_rule, CopyRule, RelationInclusionRule,
-                       SubsumptionRule)
+from .tableaux import (BASE_RULES, Completion, saturate, CopyRule,
+                       RelationInclusionRule, SubsumptionRule)
 from .model import (Polarity, Model, build_model, galois_up, galois_down,
                     interpret_concept, check_satisfies, check_i_compatibility,
                     bounded_model_search, enumerate_formal_concepts,

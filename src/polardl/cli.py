@@ -108,24 +108,27 @@ def _arg_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide ABox consistency")
     common(p_check)
+    p_check.set_defaults(run=_cmd_check)
     p_check.add_argument("--trace", action="store_true",
                          help="include the full derivation")
 
     p_ask = sub.add_parser("ask", help="answer a query",
                            parents=[_query_flags()])
     common(p_ask)
-    p_ask.set_defaults(usage_error=p_ask.error)
+    p_ask.set_defaults(run=_cmd_ask, usage_error=p_ask.error)
     p_ask.add_argument("--batch", metavar="FILE",
                        help="file of query lines, one query per line; "
                             "--trace applies to every line")
 
     p_model = sub.add_parser("model", help="export the saturated model")
     common(p_model)
+    p_model.set_defaults(run=_cmd_model)
     p_model.add_argument("--csv", action="store_true",
                          help="incidence table instead of JSON")
 
     p_trace = sub.add_parser("trace", help="dump the derivation")
     common(p_trace)
+    p_trace.set_defaults(run=_cmd_trace)
     return ap
 
 
@@ -150,9 +153,7 @@ def _error_payload(exc) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _cmd_check(args) -> int:
-    kb = _load(args.kb)
-    engine = QueryEngine(kb, max_steps=args.max_steps)
+def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     comp = engine.completion
     status = "consistent" if comp.is_consistent else "inconsistent"
     payload = {
@@ -265,9 +266,7 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
     return payload
 
 
-def _cmd_ask(args) -> int:
-    kb = _load(args.kb)
-    engine = QueryEngine(kb, max_steps=args.max_steps)
+def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     if args.batch:
         # a bad line gets an error record and the batch goes on; exit 2
         # when any line failed
@@ -304,9 +303,7 @@ def _cmd_ask(args) -> int:
     return 0
 
 
-def _cmd_model(args) -> int:
-    kb = _load(args.kb)
-    engine = QueryEngine(kb, max_steps=args.max_steps)
+def _cmd_model(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     m = build_model(engine.completion)
     if args.csv:
         sys.stdout.write(model_to_csv(m))
@@ -317,9 +314,7 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    kb = _load(args.kb)
-    engine = QueryEngine(kb, max_steps=args.max_steps)
+def _cmd_trace(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     for step in _steps_payload(engine.completion.steps()):
         print(json.dumps(step, sort_keys=True))
     return 0
@@ -330,13 +325,8 @@ def main(argv=None) -> int:
     if args.command == "ask":
         _check_query(args, args.usage_error)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "ask":
-            return _cmd_ask(args)
-        if args.command == "model":
-            return _cmd_model(args)
-        return _cmd_trace(args)
+        kb = _load(args.kb)
+        return args.run(args, kb, QueryEngine(kb, max_steps=args.max_steps))
     except _INPUT_ERRORS as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps(_error_payload(exc), sort_keys=True))

@@ -61,6 +61,19 @@ def _fact_answer(fact, present) -> Answer:
                             "absent": None if present else str(fact)})
 
 
+def _listing(run, role: Role, anchor: S.Individual, side: str,
+             include_synthetic: bool) -> Answer:
+    """The names related to the anchor in the run (see
+    `Completion.related`), with the facts that relate them."""
+    found = run.related(role, anchor, side)
+    if not include_synthetic:
+        found = [i for i in found if not i.is_synthetic]
+    facts = [S.rel(role, anchor, i) if side == "right"
+             else S.rel(role, i, anchor) for i in found]
+    return Answer(sorted({str(i) for i in found}),
+                  {"kind": "facts", "facts": sorted(map(str, facts))})
+
+
 class QueryEngine:
     """Answers queries against one knowledge base (or raw assertion set)."""
 
@@ -168,14 +181,8 @@ class QueryEngine:
                 f"side must be 'right' or 'left', not {side!r}")
         self._require_consistent()
         self._known(anchor)
-        found = self.completion.related(role, anchor, side)
-        if not include_synthetic:
-            found = [i for i in found if not i.is_synthetic]
-        names = sorted({str(i) for i in found})
-        facts = [str(S.rel(role, anchor, i)) if side == "right"
-                 else str(S.rel(role, i, anchor))
-                 for i in found]
-        return Answer(names, {"kind": "facts", "facts": sorted(facts)})
+        return _listing(self.completion, role, anchor, side,
+                        include_synthetic)
 
     # -- membership / subsumption ----------------------------------------------
 
@@ -196,19 +203,11 @@ class QueryEngine:
                 f"side must be 'extent' or 'intent', not {side!r}")
         c = self._expand(c)
         run = self._completion_with_concepts([c])
-        a_c, x_c = S.classifier_obj(c), S.classifier_feat(c)
         if side == "extent":
-            found = run.related(Role("I"), x_c, "left")
-        else:
-            found = run.related(Role("I"), a_c, "right")
-        if not include_synthetic:
-            found = [i for i in found if not i.is_synthetic]
-        if side == "extent":
-            facts = sorted(str(S.rel_i(b, x_c)) for b in found)
-        else:
-            facts = sorted(str(S.rel_i(a_c, y)) for y in found)
-        return Answer(sorted({str(i) for i in found}),
-                      {"kind": "facts", "facts": facts})
+            return _listing(run, Role("I"), S.classifier_feat(c), "left",
+                            include_synthetic)
+        return _listing(run, Role("I"), S.classifier_obj(c), "right",
+                        include_synthetic)
 
     def ask_subsumption(self, c1: S.Concept, c2: S.Concept) -> Answer:
         """Is every instance of c1 an instance of c2?"""
@@ -275,19 +274,11 @@ class QueryEngine:
         if S.subconcepts(c1) & S.subconcepts(c2):
             raise UnsupportedQueryError(
                 "negative subsumption needs c1 and c2 subformula-disjoint")
-        rules = T.add_extra_rule(T.BASE_RULES, T.SubsumptionRule(c1, c2))
         return _clash_answer(self._extend(
-            S.creation_terms(c1) + S.creation_terms(c2), rules))
+            S.creation_terms(c1) + S.creation_terms(c2),
+            (T.SubsumptionRule(c1, c2),)))
 
     # -- separation / differentiation / identity ---------------------------------
-
-    @staticmethod
-    def _separation_rules(first: S.Individual, second: S.Individual,
-                          role: Role, both: bool):
-        rules = T.add_extra_rule(T.BASE_RULES, T.CopyRule(role, first, second))
-        if both:
-            rules = T.add_extra_rule(rules, T.CopyRule(role, second, first))
-        return rules
 
     def ask_separation(self, first: S.Individual, second: S.Individual,
                        role: Role = Role("I")) -> Answer:
@@ -299,7 +290,7 @@ class QueryEngine:
         if first.sort != second.sort:
             raise UnsupportedQueryError("separation compares same-sort names")
         return _clash_answer(self._extend(
-            rules=self._separation_rules(first, second, role, False)))
+            rules=(T.CopyRule(role, first, second),)))
 
     def ask_relation_separation(self, lhs: Role, rhs: Role,
                                 pivot: S.Individual) -> Answer:
@@ -307,9 +298,8 @@ class QueryEngine:
         rhs-role counterpart provably fails?"""
         self._require_consistent()
         self._declared(pivot)
-        rules = T.add_extra_rule(T.BASE_RULES,
-                                 T.RelationInclusionRule(lhs, rhs, pivot))
-        return _clash_answer(self._extend(rules=rules))
+        return _clash_answer(self._extend(
+            rules=(T.RelationInclusionRule(lhs, rhs, pivot),)))
 
     def ask_differentiation(self, first: S.Individual, second: S.Individual,
                             role: Role = Role("I")) -> Answer:
@@ -324,7 +314,8 @@ class QueryEngine:
             raise UnsupportedQueryError(
                 "differentiation compares same-sort names")
         return _clash_answer(self._extend(
-            rules=self._separation_rules(first, second, role, True)))
+            rules=(T.CopyRule(role, first, second),
+                   T.CopyRule(role, second, first))))
 
     def ask_identity(self, first: S.Individual,
                      second: S.Individual) -> Answer:

@@ -107,37 +107,40 @@ def _render(c: Concept, level: int) -> str:
     return f"{op}{c.index} {_render(c.child, 2)}"
 
 
-def _intern_concept(key, make):
-    got = _concepts.get(key)
+def _intern(table: dict, key, make):
+    """The term interned in table under key; make() builds it when none
+    is.  setdefault keeps the first of two racing builds."""
+    got = table.get(key)
     if got is None:
-        got = _concepts.setdefault(key, make())
+        got = table.setdefault(key, make())
     return got
 
 
 def atom(name: str) -> Concept:
     if not name:
         raise ValueError("atomic concept name must be nonempty")
-    return _intern_concept((ATOM, name), lambda: Concept(ATOM, name=name))
+    return _intern(_concepts, (ATOM, name),
+                   lambda: Concept(ATOM, name=name))
 
 
 def meet(left: Concept, right: Concept) -> Concept:
-    return _intern_concept((MEET, id(left), id(right)),
-                           lambda: Concept(MEET, left=left, right=right))
+    return _intern(_concepts, (MEET, id(left), id(right)),
+                   lambda: Concept(MEET, left=left, right=right))
 
 
 def join(left: Concept, right: Concept) -> Concept:
-    return _intern_concept((JOIN, id(left), id(right)),
-                           lambda: Concept(JOIN, left=left, right=right))
+    return _intern(_concepts, (JOIN, id(left), id(right)),
+                   lambda: Concept(JOIN, left=left, right=right))
 
 
 def box(index: int, child: Concept) -> Concept:
-    return _intern_concept((BOX, index, id(child)),
-                           lambda: Concept(BOX, index=index, child=child))
+    return _intern(_concepts, (BOX, index, id(child)),
+                   lambda: Concept(BOX, index=index, child=child))
 
 
 def dia(index: int, child: Concept) -> Concept:
-    return _intern_concept((DIA, index, id(child)),
-                           lambda: Concept(DIA, index=index, child=child))
+    return _intern(_concepts, (DIA, index, id(child)),
+                   lambda: Concept(DIA, index=index, child=child))
 
 
 def subconcepts(c: Concept) -> frozenset:
@@ -242,18 +245,11 @@ class Individual:
         return self._str
 
 
-def _intern_ind(key, make):
-    got = _individuals.get(key)
-    if got is None:
-        got = _individuals.setdefault(key, make())
-    return got
-
-
 def named(sort: str, name: str) -> Individual:
     if not name:
         raise ValueError("individual name must be nonempty")
-    return _intern_ind((NAMED, sort, name),
-                       lambda: Individual(NAMED, sort, name=name))
+    return _intern(_individuals, (NAMED, sort, name),
+                   lambda: Individual(NAMED, sort, name=name))
 
 
 def named_obj(name: str) -> Individual:
@@ -266,31 +262,31 @@ def named_feat(name: str) -> Individual:
 
 def classifier_obj(c: Concept) -> Individual:
     """The classifying object a_C."""
-    return _intern_ind((CLASSIFIER, OBJ, id(c)),
-                       lambda: Individual(CLASSIFIER, OBJ, concept=c))
+    return _intern(_individuals, (CLASSIFIER, OBJ, id(c)),
+                   lambda: Individual(CLASSIFIER, OBJ, concept=c))
 
 
 def classifier_feat(c: Concept) -> Individual:
     """The classifying feature x_C."""
-    return _intern_ind((CLASSIFIER, FEAT, id(c)),
-                       lambda: Individual(CLASSIFIER, FEAT, concept=c))
+    return _intern(_individuals, (CLASSIFIER, FEAT, id(c)),
+                   lambda: Individual(CLASSIFIER, FEAT, concept=c))
 
 
 def pad_obj() -> Individual:
     """The isolated padding object (the bottom row of incidence tables)."""
-    return _intern_ind((PAD, OBJ), lambda: Individual(PAD, OBJ))
+    return _intern(_individuals, (PAD, OBJ), lambda: Individual(PAD, OBJ))
 
 
 def pad_feat() -> Individual:
     """The isolated padding feature."""
-    return _intern_ind((PAD, FEAT), lambda: Individual(PAD, FEAT))
+    return _intern(_individuals, (PAD, FEAT), lambda: Individual(PAD, FEAT))
 
 
 def black_diamond(b: Individual, index: int) -> Individual:
     if b.sort != OBJ:
         raise ValueError("black diamond applies to objects")
-    return _intern_ind((BLACK_DIA, index, id(b)),
-                       lambda: Individual(BLACK_DIA, OBJ, index=index, base=b))
+    return _intern(_individuals, (BLACK_DIA, index, id(b)),
+                   lambda: Individual(BLACK_DIA, OBJ, index=index, base=b))
 
 
 def adj_diamond(b: Individual, index: int) -> Individual:
@@ -299,8 +295,8 @@ def adj_diamond(b: Individual, index: int) -> Individual:
         raise ValueError("diamond image applies to objects")
     if b.kind == CLASSIFIER:
         return classifier_obj(dia(index, b.concept))
-    return _intern_ind((ADJ_DIA, index, id(b)),
-                       lambda: Individual(ADJ_DIA, OBJ, index=index, base=b))
+    return _intern(_individuals, (ADJ_DIA, index, id(b)),
+                   lambda: Individual(ADJ_DIA, OBJ, index=index, base=b))
 
 
 def adj_box(y: Individual, index: int) -> Individual:
@@ -309,15 +305,15 @@ def adj_box(y: Individual, index: int) -> Individual:
         raise ValueError("box image applies to features")
     if y.kind == CLASSIFIER:
         return classifier_feat(box(index, y.concept))
-    return _intern_ind((ADJ_BOX, index, id(y)),
-                       lambda: Individual(ADJ_BOX, FEAT, index=index, base=y))
+    return _intern(_individuals, (ADJ_BOX, index, id(y)),
+                   lambda: Individual(ADJ_BOX, FEAT, index=index, base=y))
 
 
 def black_square(y: Individual, index: int) -> Individual:
     if y.sort != FEAT:
         raise ValueError("black square applies to features")
-    return _intern_ind((BLACK_SQ, index, id(y)),
-                       lambda: Individual(BLACK_SQ, FEAT, index=index, base=y))
+    return _intern(_individuals, (BLACK_SQ, index, id(y)),
+                   lambda: Individual(BLACK_SQ, FEAT, index=index, base=y))
 
 
 def dia_adjoint_view(b: Individual):
@@ -460,39 +456,32 @@ class Assertion:
         return self._str
 
 
-def _intern_assertion(key, make):
-    got = _assertions.get(key)
-    if got is None:
-        got = _assertions.setdefault(key, make())
-    return got
-
-
 def rel_i(b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError(f"incidence terms relate an object to a feature: {b} I {y}")
-    return _intern_assertion((REL_I, id(b), id(y)),
-                             lambda: Assertion(REL_I, left=b, right=y))
+    return _intern(_assertions, (REL_I, id(b), id(y)),
+                   lambda: Assertion(REL_I, left=b, right=y))
 
 
 def rel_box(index: int, b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError("box-role terms relate an object to a feature")
-    return _intern_assertion((REL_BOX, index, id(b), id(y)),
-                             lambda: Assertion(REL_BOX, left=b, right=y, index=index))
+    return _intern(_assertions, (REL_BOX, index, id(b), id(y)),
+                   lambda: Assertion(REL_BOX, left=b, right=y, index=index))
 
 
 def rel_dia(index: int, y: Individual, b: Individual) -> Assertion:
     if y.sort != FEAT or b.sort != OBJ:
         raise ValueError("dia-role terms relate a feature to an object")
-    return _intern_assertion((REL_DIA, index, id(y), id(b)),
-                             lambda: Assertion(REL_DIA, left=y, right=b, index=index))
+    return _intern(_assertions, (REL_DIA, index, id(y), id(b)),
+                   lambda: Assertion(REL_DIA, left=y, right=b, index=index))
 
 
 def member(ind: Individual, c: Concept) -> Assertion:
     """b : C for objects, y :: C for features."""
     kind = MEM_OBJ if ind.sort == OBJ else MEM_FEAT
-    return _intern_assertion((kind, id(ind), id(c)),
-                             lambda: Assertion(kind, ind=ind, concept=c))
+    return _intern(_assertions, (kind, id(ind), id(c)),
+                   lambda: Assertion(kind, ind=ind, concept=c))
 
 
 def creation_terms(c: Concept) -> tuple:
@@ -503,7 +492,8 @@ def creation_terms(c: Concept) -> tuple:
 def neg(a: Assertion) -> Assertion:
     if a.kind == NEG:
         raise ValueError("negation applies only to positive terms")
-    return _intern_assertion((NEG, id(a)), lambda: Assertion(NEG, inner=a))
+    return _intern(_assertions, (NEG, id(a)),
+                   lambda: Assertion(NEG, inner=a))
 
 
 def rel(role: Role, left: Individual, right: Individual) -> Assertion:

@@ -92,7 +92,7 @@ before they build it.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,6 +118,11 @@ class CopyRule:
     role: Role
     src: S.Individual
     dst: S.Individual
+
+    def __post_init__(self):
+        if self.src.sort != self.dst.sort:
+            raise UnsupportedRuleError(
+                f"copy rule {self.label} relates individuals of two sorts")
 
     @property
     def label(self):
@@ -155,6 +160,16 @@ class RelationInclusionRule:
     lhs: Role
     rhs: Role
     pivot: S.Individual
+
+    def __post_init__(self):
+        if self.lhs.kind == "I":
+            raise UnsupportedRuleError(
+                "inclusions of I into a box or dia role may not terminate")
+        if self.lhs.kind == "box":
+            if self.rhs.kind not in ("dia", "I") or self.pivot.sort != S.OBJ:
+                raise UnsupportedRuleError(f"unsupported direction {self.label}")
+        elif self.rhs.kind not in ("box", "I") or self.pivot.sort != S.FEAT:
+            raise UnsupportedRuleError(f"unsupported direction {self.label}")
 
     @property
     def label(self):
@@ -199,34 +214,8 @@ class SubsumptionRule:
         return ()
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """The base expansion rules plus zero or more extra rules."""
-    extras: tuple = ()
-
-
-BASE_RULES = RuleSet()
-
-
-def add_extra_rule(rules: RuleSet, extra) -> RuleSet:
-    """Validated, functional extension of a rule set."""
-    if isinstance(extra, CopyRule):
-        if extra.src.sort != extra.dst.sort:
-            raise UnsupportedRuleError(
-                f"copy rule {extra.label} relates individuals of two sorts")
-    elif isinstance(extra, RelationInclusionRule):
-        if extra.lhs.kind == "I":
-            raise UnsupportedRuleError(
-                "inclusions of I into a box or dia role may not terminate")
-        if extra.lhs.kind == "box":
-            if extra.rhs.kind not in ("dia", "I") or extra.pivot.sort != S.OBJ:
-                raise UnsupportedRuleError(f"unsupported direction {extra.label}")
-        else:
-            if extra.rhs.kind not in ("box", "I") or extra.pivot.sort != S.FEAT:
-                raise UnsupportedRuleError(f"unsupported direction {extra.label}")
-    elif not isinstance(extra, SubsumptionRule):
-        raise UnsupportedRuleError(f"unknown extra rule {extra!r}")
-    return RuleSet(rules.extras + (extra,))
+# a rule set: the extra rules a run adds to the base rules, in order
+BASE_RULES = ()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +250,7 @@ class Completion:
     saturated assertion set with provenance and clash witness, never
     written again except for its lazily built caches."""
 
-    def __init__(self, input_assertions: frozenset, rules: RuleSet,
+    def __init__(self, input_assertions: frozenset, rules: tuple,
                  max_steps, shuffle_seed, occurring: frozenset,
                  individuals: frozenset, base: Completion | None = None):
         self.input_assertions = input_assertions
@@ -278,7 +267,6 @@ class Completion:
         self.rows, self.base_rows = {}, {}  # key -> {partner: fact}
         self.neg_relational: dict = {}   # relational terms under a negation
         self.clash = None            # (positive term, its negation)
-        self.stats: dict = {}        # rule label -> additions
         self.fired = 0               # facts fired
         self.worklist = deque()
 
@@ -299,7 +287,7 @@ class Completion:
                         partners.setdefault(c.right, []).append((c, c.left))
 
         self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
-        for extra in rules.extras:
+        for extra in rules:
             for key in extra.triggers:
                 self.extra_rules.setdefault(key, []).append(
                     (extra.conclude, extra.label))
@@ -323,6 +311,11 @@ class Completion:
     @cached_property
     def assertions(self) -> tuple:
         return tuple(self.provenance)
+
+    @cached_property
+    def stats(self) -> Counter:
+        """Rule label -> the facts it added, labels in order of first use."""
+        return Counter(rule for rule, _ in self.provenance.values())
 
     def positives(self):
         return [a for a in self.provenance if a.kind != S.NEG]
@@ -421,7 +414,7 @@ class Completion:
 
     # -- saturation ----------------------------------------------------------
 
-    def fork(self, inputs: frozenset, rules: RuleSet, max_steps,
+    def fork(self, inputs: frozenset, rules: tuple, max_steps,
              shuffle_seed) -> Completion:
         """A run over the given inputs and rules that starts from this
         finished run's facts.  It shares them and never writes them: it
@@ -440,7 +433,6 @@ class Completion:
         if run.inherited:
             run.provenance = _Layers(run.inherited, run.own)
         run.neg_relational = dict(self.neg_relational)
-        run.stats = dict(self.stats)
         run.fired = self.fired
         return run
 
@@ -450,7 +442,6 @@ class Completion:
         if a in self.own or a in self.inherited or self.clash is not None:
             return
         self.own[a] = (rule, premises)
-        self.stats[rule] = self.stats.get(rule, 0) + 1
         self.worklist.append(a)
         rows = self.rows
         if a.kind == S.NEG:
@@ -617,7 +608,7 @@ class Completion:
     def resume(self, base: Completion) -> Completion:
         """Fire what the delta adds to the finished run `base`, forked
         into this run."""
-        new_extras = self.rules.extras[len(base.rules.extras):]
+        new_extras = self.rules[len(base.rules):]
         self._check_extras(new_extras)
         for extra in new_extras:
             for key in extra.triggers:
@@ -664,25 +655,31 @@ _EMPTY = Completion(frozenset(), BASE_RULES, None, None, frozenset(),
                     frozenset())
 
 
-def saturate(assertions, rules: RuleSet = BASE_RULES, *,
+def saturate(assertions, rules: tuple = BASE_RULES, *,
              max_steps: int | None = None,
              shuffle_seed: int | None = None,
              start: Completion | None = None) -> Completion:
-    """Saturate an assertion set under the given rules.
+    """Saturate an assertion set under the base rules and the given extra
+    rules.
 
     Deterministic by default (fixed scheduling); pass shuffle_seed to run
     a randomized fair schedule, which reaches the same fixpoint.  A
     clash short-circuits saturation; the partial set is still reported.
 
     `start`, a consistent completion of a subset of the assertions under
-    a prefix of the rules' extras, is resumed (see above); max_steps then
+    a prefix of the extra rules, is resumed (see above); max_steps then
     counts its steps too.  Any other `start` raises ValueError.  Without
     `start`, the empty run is resumed.
     """
+    rules = tuple(rules)
+    for extra in rules:
+        if not isinstance(extra, (CopyRule, RelationInclusionRule,
+                                  SubsumptionRule)):
+            raise UnsupportedRuleError(f"unknown extra rule {extra!r}")
     base = _EMPTY if start is None else start
     inputs = frozenset(assertions)
     if (base.clash is not None or not base.input_assertions <= inputs
-            or rules.extras[:len(base.rules.extras)] != base.rules.extras):
+            or rules[:len(base.rules)] != base.rules):
         raise ValueError("start must be a consistent completion of a subset "
                          "of the assertions under a prefix of the extras")
     return base.fork(inputs, rules, max_steps, shuffle_seed).resume(base)

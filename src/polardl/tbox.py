@@ -22,7 +22,7 @@ from .parser import KnowledgeBase, TBoxAxiom
 from . import syntax as S
 
 
-def rewrite_gci(ax: TBoxAxiom, taken_names=(), counter_start=1) -> TBoxAxiom:
+def rewrite_gci(ax: TBoxAxiom, taken_names=()) -> TBoxAxiom:
     """Rewrite an inclusion axiom as an equivalence with a fresh conjunct.
 
     The fresh atomic name avoids everything in taken_names.
@@ -30,7 +30,7 @@ def rewrite_gci(ax: TBoxAxiom, taken_names=(), counter_start=1) -> TBoxAxiom:
     if ax.kind != "sub":
         raise ValueError("rewrite_gci applies to inclusion axioms only")
     taken = set(taken_names)
-    n = counter_start
+    n = 1
     while f"G{n}" in taken:
         n += 1
     fresh = S.atom(f"G{n}")

@@ -122,11 +122,8 @@ def each_run(corpus, visit):
                 label = (n, f"negsub:{c1}:{c2}")
                 engine.ask_negative_subsumption(c1, c2)
             extras = fuzz.sample_extras(rng, abox)
-            rules = P.BASE_RULES
-            for r in extras:
-                rules = P.add_extra_rule(rules, r)
             label = (n, "extras:" + ",".join(r.label for r in extras))
-            T.saturate(abox, rules, max_steps=1_000_000)
+            T.saturate(abox, tuple(extras), max_steps=1_000_000)
     finally:
         T.saturate = inner
 

@@ -167,10 +167,7 @@ def test_c4a_strict_depth_bounds(corpus):
 
 
 def _extended_run(abox, extras):
-    rules = P.BASE_RULES
-    for r in extras:
-        rules = P.add_extra_rule(rules, r)
-    return P.saturate(abox, rules, max_steps=1_000_000)
+    return P.saturate(abox, tuple(extras), max_steps=1_000_000)
 
 
 def test_c4b_relaxed_depth_bounds_with_extras(corpus):

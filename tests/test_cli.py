@@ -62,6 +62,18 @@ class TestCheck:
         assert [s["rule"] for s in doc["clash"]["steps"]] == \
             ["create", "I", "neg_b"]
 
+    def test_json_trace(self):
+        code, out, _ = run_cli("check", MOVIES, "--trace", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["trace"]) == doc["completion_size"] - \
+            doc["input_assertions"]
+        assert doc["trace"][0] == {
+            "added": "a[(GM or FM) and G1] : (GM or FM) and G1",
+            "premises": [], "rule": "create"}
+        assert sum(doc["rule_applications"].values()) == \
+            doc["completion_size"]
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.kb"
         bad.write_text("obj m. m : IM and")
@@ -136,6 +148,36 @@ class TestAsk:
         assert doc["answer"] is True
         assert [s["rule"] for s in doc["certificate"]["steps"]] == \
             ["create", "and_A", "I", "SA(m4,m2)", "neg_b"]
+
+    def test_differentiation_with_trace_in_text(self):
+        code, out, _ = run_cli("ask", MOVIES, "--dif", "m2", "m4", "--trace")
+        assert code == 0
+        assert out.splitlines() == [
+            "true",
+            "clash derivation:",
+            "  1. [create]  => x[GM or FM] :: GM or FM",
+            "  2. [and_A] m4 : (GM or FM) and G1 => m4 : GM or FM",
+            "  3. [I] m4 : GM or FM, x[GM or FM] :: GM or FM "
+            "=> m4 I x[GM or FM]",
+            "  4. [SA(m4,m2)] m4 I x[GM or FM] => m2 I x[GM or FM]",
+            "  5. [neg_b] not (m2 : GM or FM) => not (m2 I x[GM or FM])"]
+
+    def test_lookup_with_trace_in_text(self):
+        code, out, _ = run_cli("ask", MOVIES, "--list-related", "m3", "I",
+                               "--trace")
+        assert code == 0
+        assert out.splitlines() == [
+            '["f4", "f6"]',
+            '{"facts": ["m3 I f4", "m3 I f6"], "kind": "facts"}']
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_no_query_flag_is_an_error(self, fmt):
+        code, out, err = run_cli("ask", MOVIES, "--format", fmt)
+        assert code == 2
+        assert err == "error: no query flag given\n"
+        if fmt == "json":
+            assert json.loads(out) == {"error": {
+                "message": "no query flag given", "type": "PolardlError"}}
 
     def test_separation_flags(self):
         _, out, _ = run_cli("ask", MOVIES, "--sep", "I", "m4", "m2")

@@ -28,10 +28,7 @@ JOIN_RULES = {"I", "box", "dia", "box_y", "bsq_y", "dia_b", "bdia_b"}
 
 
 def _rules(*extras):
-    rules = P.BASE_RULES
-    for extra in extras:
-        rules = P.add_extra_rule(rules, extra)
-    return rules
+    return extras
 
 
 def _names(abox, sort):
@@ -427,7 +424,7 @@ def test_runs_from_scratch_leave_the_empty_base_empty(corpus):
     P.saturate(abox | {P.member(objs[0], P.atom("Fresh"))}, shuffle_seed=1)
     empty = T._EMPTY
     assert not (empty.input_assertions or empty.occurring or empty.individuals
-                or empty.rules.extras)
+                or empty.rules)
     assert not (empty.provenance or empty.neg_relational or empty.stats
                 or empty.rows or empty.base_rows)
     assert empty.fired == 0 and empty.clash is None
@@ -437,7 +434,7 @@ def test_a_resumed_completion_can_be_resumed(movies_kb):
     abox = P.unravel(movies_kb)
     m3, m1 = P.named_obj("m3"), P.named_obj("m1")
     first = _rules(P.CopyRule(BOX1, m3, m1))
-    both = P.add_extra_rule(first, P.CopyRule(I, m1, m3))
+    both = first + (P.CopyRule(I, m1, m3),)
     middle = P.saturate(abox, first, start=P.saturate(abox))
     assert middle.is_consistent
     resumed = P.saturate(abox, both, start=middle)

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -122,17 +123,16 @@ class TestRuleMechanics:
 
 class TestExtraRules:
     def test_unknown_individual(self):
-        rules = P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, d))
+        rules = (P.CopyRule(I, b, d),)
         with pytest.raises(UnknownIndividualError):
             P.saturate({P.member(b, D)}, rules)
 
     def test_unsupported_directions(self):
         with pytest.raises(UnsupportedRuleError):
-            P.add_extra_rule(P.BASE_RULES, P.RelationInclusionRule(
-                P.Role("I"), P.Role("box", 1), b))
+            P.RelationInclusionRule(P.Role("I"), P.Role("box", 1), b)
         with pytest.raises(UnsupportedRuleError):
-            P.add_extra_rule(P.BASE_RULES, P.RelationInclusionRule(
-                P.Role("dia", 1), P.Role("box", 1), b))   # pivot must be a feature
+            # the pivot must be a feature
+            P.RelationInclusionRule(P.Role("dia", 1), P.Role("box", 1), b)
 
     @pytest.mark.parametrize("role, sort, label", [
         ("I", S.OBJ, "SA(b,d)"),
@@ -155,8 +155,7 @@ class TestExtraRules:
             rule, copied = P.CopyRule(role, b, d), fact(d, y)
         else:
             rule, copied = P.CopyRule(role, y, z), fact(b, z)
-        run = P.saturate({premise, P.rel_i(d, z)},
-                         P.add_extra_rule(P.BASE_RULES, rule))
+        run = P.saturate({premise, P.rel_i(d, z)}, (rule,))
         assert run.is_consistent
         assert rule.label == label
         assert run.provenance[copied] == (label, (premise,))
@@ -164,7 +163,7 @@ class TestExtraRules:
 
     def test_subsumption_rule(self):
         rule = P.SubsumptionRule(D, E)
-        rules = P.add_extra_rule(P.BASE_RULES, rule)
+        rules = (rule,)
         abox = {P.member(b, D), P.member(y, E)}
         assert rule.label == "SUB(D,E)" and rule.individuals() == ()
         for start in (None, P.saturate(abox)):
@@ -176,19 +175,40 @@ class TestExtraRules:
                 ("SUB(D,E)", (P.member(y, E),))
             # the concepts must occur, or their creation pairs be missing
             with pytest.raises(UnsupportedRuleError):
-                P.saturate(abox, P.add_extra_rule(
-                    P.BASE_RULES, P.SubsumptionRule(D, P.atom("F"))),
-                    start=start)
+                P.saturate(abox, (P.SubsumptionRule(D, P.atom("F")),),
+                           start=start)
 
     def test_cross_sort_copy_rule_is_rejected(self):
         with pytest.raises(UnsupportedRuleError):
-            P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, y))
+            P.CopyRule(I, b, y)
         with pytest.raises(UnsupportedRuleError):
-            P.add_extra_rule(P.BASE_RULES, P.CopyRule(P.Role("box", 1), y, b))
+            P.CopyRule(P.Role("box", 1), y, b)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: P.CopyRule(I, b, y), "relates individuals of two sorts"),
+        (lambda: P.RelationInclusionRule(I, P.Role("box", 1), b),
+         "inclusions of I into a box or dia role may not terminate"),
+        (lambda: P.RelationInclusionRule(P.Role("box", 1), P.Role("box", 2),
+                                         b),
+         "unsupported direction SA(Rbox1,Rbox2,b)"),
+        (lambda: P.RelationInclusionRule(P.Role("dia", 1), P.Role("dia", 2),
+                                         y),
+         "unsupported direction SX(Rdia1,Rdia2,y)"),
+    ], ids=["copy across sorts", "I->box", "box->box", "dia->dia"])
+    def test_an_unsupported_rule_cannot_be_built(self, make, message):
+        with pytest.raises(UnsupportedRuleError, match=re.escape(message)):
+            make()
+
+    def test_an_unknown_extra_rule_is_rejected(self):
+        abox = {P.member(b, D)}
+        for start in (None, P.saturate(abox)):
+            with pytest.raises(UnsupportedRuleError,
+                               match="unknown extra rule"):
+                P.saturate(abox, (object(),), start=start)
 
     def test_self_copy_is_inert(self):
         abox = {P.member(b, D), P.rel_i(b, y)}
-        rules = P.add_extra_rule(P.BASE_RULES, P.CopyRule(I, b, b))
+        rules = (P.CopyRule(I, b, b),)
         plain = P.saturate(abox)
         copied = P.saturate(abox, rules)
         assert set(copied.assertions) == set(plain.assertions)
@@ -197,9 +217,7 @@ class TestExtraRules:
     def test_movie_differentiation_rules_clash(self, movies_kb):
         abox = P.unravel(movies_kb)
         m2, m4 = P.named_obj("m2"), P.named_obj("m4")
-        rules = P.BASE_RULES
-        for r in (P.CopyRule(I, m4, m2), P.CopyRule(I, m2, m4)):
-            rules = P.add_extra_rule(rules, r)
+        rules = (P.CopyRule(I, m4, m2), P.CopyRule(I, m2, m4))
         comp = P.saturate(abox, rules)
         assert not comp.is_consistent
         cert = comp.clash_certificate()
@@ -208,8 +226,8 @@ class TestExtraRules:
 
     def test_relation_inclusion_no_clash(self, movies_kb):
         abox = P.unravel(movies_kb)
-        rules = P.add_extra_rule(P.BASE_RULES, P.RelationInclusionRule(
-            P.Role("box", 1), P.Role("I"), P.named_obj("m4")))
+        rules = (P.RelationInclusionRule(
+            P.Role("box", 1), P.Role("I"), P.named_obj("m4")),)
         assert P.saturate(abox, rules).is_consistent
 
 
@@ -262,7 +280,7 @@ class TestInvariants:
     def _assert_into_i_derives_no_shape(abox, lhs_kind, pivot):
         into_i = P.RelationInclusionRule(P.Role(lhs_kind, 1), P.Role("I"),
                                          pivot)
-        safe = P.saturate(abox, P.add_extra_rule(P.BASE_RULES, into_i))
+        safe = P.saturate(abox, (into_i,))
         assert safe.is_consistent
         assert fuzz.shape_violations(safe) == []
         assert safe.invariant_violations == ()
@@ -274,7 +292,7 @@ class TestInvariants:
         abox = {P.member(y, P.dia(1, P.dia(1, D)))}
         crossing = P.RelationInclusionRule(P.Role("dia", 1),
                                            P.Role("box", 1), y)
-        run = P.saturate(abox, P.add_extra_rule(P.BASE_RULES, crossing))
+        run = P.saturate(abox, (crossing,))
         assert run.is_consistent
         premise = P.rel_dia(1, y, a_d)
         shape = P.rel_box(1, a_d, y)
@@ -300,7 +318,7 @@ class TestInvariants:
         abox = {P.member(b, P.box(1, P.box(1, D)))}
         crossing = P.RelationInclusionRule(P.Role("box", 1),
                                            P.Role("dia", 1), b)
-        run = P.saturate(abox, P.add_extra_rule(P.BASE_RULES, crossing))
+        run = P.saturate(abox, (crossing,))
         assert run.is_consistent
         premise = P.rel_box(1, b, x_d)
         shape = P.rel_dia(1, x_d, b)
@@ -333,8 +351,7 @@ class TestInvariants:
             if len(objs) < 2:
                 continue
             src, dst = rng.sample(objs, 2)
-            rules = P.add_extra_rule(P.BASE_RULES,
-                                     P.CopyRule(I, src, dst))
+            rules = (P.CopyRule(I, src, dst),)
             run = P.saturate(abox, rules)
             if not run.is_consistent:
                 continue
