@@ -11,14 +11,26 @@ Machine-readable output goes to stdout, diagnostics to stderr.  With
 --format json every path prints a JSON document, including errors other
 than argparse usage errors.  Identical invocations produce byte-identical
 output.
+
+One table, `_FLAGS`, holds the flags of a query: a query flag's row gives
+its arity, argument kinds, modifiers, engine call and query record, and
+`ask` and the --batch line parser are built from it.  A --batch line
+skips argparse when `_plain_line` reads it: bare or single-quoted words
+apart by spaces, every flag spelled in full, no argument starting with
+"-".  Any other line goes through `shlex.split` and argparse, which stays
+the only source of usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
+from functools import cache
+from itertools import cycle
+from typing import Callable, NamedTuple
 
 from .errors import PolardlError
 from .parser import (parse_concept, parse_individual, parse_kb, parse_term,
@@ -29,51 +41,108 @@ from .syntax import Role
 from . import syntax as S
 
 
-# the destinations of the query flags, at most one per query
-_QUERIES = ("rel", "list_related", "member", "list_members", "subsume",
-            "disj", "sep", "sep_rel", "dif", "identity", "equiv")
-# modifier destination -> the queries it changes
-_MODIFIERS = {"neg": ("rel", "member", "subsume"),
-              "side": ("list_related", "list_members"),
-              "include_synthetic": ("list_related", "list_members"),
-              "role": ("dif",)}
+class _Flag(NamedTuple):
+    """A flag of a query line; a query flag has `ask` and `record`."""
+    dest: str                       # "list_related" for --list-related
+    nargs: int | str | None = None  # argparse's; 0 a switch, "append" --disj
+    metavar: str | tuple[str, ...] | None = None
+    kinds: str = ""                 # letters of `read`, cycled over args
+    modifiers: tuple[str, ...] = ()  # the modifiers that change the query
+    ask: Callable | None = None     # (engine, args, *values) -> Answer
+    record: Callable | None = None  # (args, *values) -> the query record
+    help: str | None = None
 
 
-def _query_flags() -> argparse.ArgumentParser:
-    """The flags of one query, shared by `ask` and --batch lines."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--include-synthetic", action="store_true",
-                   help="also list synthetic names (list queries)")
-    p.add_argument("--neg", action="store_true",
-                   help="negate a --rel/--member/--subsume query")
-    p.add_argument("--side", default=None,
-                   help="left|right for --list-related, extent|intent for --list-members")
-    p.add_argument("--role", default=None, help="role for --dif (default I)")
-    q = p.add_mutually_exclusive_group()
-    q.add_argument("--rel", nargs=3, metavar=("LHS", "ROLE", "RHS"))
-    q.add_argument("--list-related", nargs=2, metavar=("NAME", "ROLE"))
-    q.add_argument("--member", nargs=2, metavar=("NAME", "CONCEPT"))
-    q.add_argument("--list-members", nargs=1, metavar="CONCEPT")
-    q.add_argument("--subsume", nargs=2, metavar=("C1", "C2"))
-    q.add_argument("--disj", action="append", metavar="TERM",
-                   help="repeatable positive term; true if any is entailed")
-    q.add_argument("--sep", nargs=3, metavar=("ROLE", "FIRST", "SECOND"))
-    q.add_argument("--sep-rel", nargs=3, metavar=("LHSROLE", "RHSROLE", "PIVOT"))
-    q.add_argument("--dif", nargs=2, metavar=("FIRST", "SECOND"))
-    q.add_argument("--identity", nargs=2, metavar=("FIRST", "SECOND"))
-    q.add_argument("--equiv", metavar="OTHER_KB")
-    return p
+def _record(args, spec: str, *values) -> dict:
+    """The query record: `spec` holds its type, then a key per value."""
+    kind, *keys = spec.split()
+    return {"type": "negative-" + kind if args.neg else kind,
+            **{key: str(value) for key, value in zip(keys, values)}}
+
+
+_FLAGS = (  # in usage order
+    _Flag("trace", 0),
+    _Flag("include_synthetic", 0,
+          help="also list synthetic names (list queries)"),
+    _Flag("neg", 0, help="negate a --rel/--member/--subsume query"),
+    _Flag("side", help="left|right for --list-related, "
+                       "extent|intent for --list-members"),
+    _Flag("role", help="role for --dif (default I)"),
+    _Flag("rel", 3, ("LHS", "ROLE", "RHS"), "iri", ("neg",),
+          lambda e, a, l, r, h: e.ask_negative_relational(S.rel(r, l, h))
+          if a.neg else e.ask_relational(l, r, h),
+          lambda a, l, r, h: _record(a, "relational term", S.rel(r, l, h))),
+    _Flag("list_related", 2, ("NAME", "ROLE"), "ir",
+          ("side", "include_synthetic"),
+          lambda e, a, x, r: e.list_related(
+              x, r, a.side or "right", include_synthetic=a.include_synthetic),
+          lambda a, x, r: _record(a, "list-related anchor role side", x, r,
+                                  a.side or "right")),
+    _Flag("member", 2, ("NAME", "CONCEPT"), "ic", ("neg",),
+          lambda e, a, x, c: (e.ask_negative_membership if a.neg
+                              else e.ask_membership)(x, c),
+          lambda a, x, c: _record(a, "membership individual concept", x, c)),
+    _Flag("list_members", 1, "CONCEPT", "c", ("side", "include_synthetic"),
+          lambda e, a, c: e.list_members(
+              c, a.side or "extent", include_synthetic=a.include_synthetic),
+          lambda a, c: _record(a, "list-members concept side", c,
+                               a.side or "extent")),
+    _Flag("subsume", 2, ("C1", "C2"), "cc", ("neg",),
+          lambda e, a, c1, c2: (e.ask_negative_subsumption if a.neg
+                                else e.ask_subsumption)(c1, c2),
+          lambda a, c1, c2: _record(a, "subsumption c1 c2", c1, c2)),
+    _Flag("disj", "append", "TERM", "t", (),
+          lambda e, a, *terms: e.ask_disjunctive(terms),
+          lambda a, *ts: {"type": "disjunctive", "terms": [str(t) for t in ts]},
+          "repeatable positive term; true if any is entailed"),
+    _Flag("sep", 3, ("ROLE", "FIRST", "SECOND"), "rii", (),
+          lambda e, a, r, x, y: e.ask_separation(x, y, r),
+          lambda a, *v: _record(a, "separation role first second", *v)),
+    _Flag("sep_rel", 3, ("LHSROLE", "RHSROLE", "PIVOT"), "rri", (),
+          lambda e, a, r1, r2, x: e.ask_relation_separation(r1, r2, x),
+          lambda a, *v: _record(a, "relation-separation lhs rhs pivot", *v)),
+    _Flag("dif", 2, ("FIRST", "SECOND"), "ii", ("role",),
+          lambda e, a, x, y: e.ask_differentiation(
+              x, y, Role.parse(a.role or "I")),
+          lambda a, x, y: _record(a, "differentiation first second role",
+                                  x, y, a.role or "I")),
+    _Flag("identity", 2, ("FIRST", "SECOND"), "ii", (),
+          lambda e, a, x, y: e.ask_identity(x, y),
+          lambda a, *v: _record(a, "identity-distinguishable first second", *v)),
+    _Flag("equiv", None, "OTHER_KB", "f", (),
+          lambda e, a, path: e.ask_equivalence(
+              QueryEngine(_load(path), max_steps=e.max_steps)),
+          lambda a, path: _record(a, "equivalence other", path)),
+)
+_QUERIES = tuple(f for f in _FLAGS if f.ask)
+# modifier -> the queries it changes, in the order _check_query tests them
+_MODIFIERS = {m: [q.dest for q in _QUERIES if m in q.modifiers]
+              for f in _QUERIES for m in f.modifiers}
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+def _query_flags(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The flags of one query, shared by `ask` and --batch lines."""
+    p = cls(add_help=False)
+    queries = p.add_mutually_exclusive_group()
+    for f in _FLAGS:
+        how = ({"action": "store_true"} if f.nargs == 0
+               else {"action": "append", "metavar": f.metavar}
+               if f.nargs == "append" else
+               {"nargs": f.nargs, "metavar": f.metavar})
+        (queries if f.ask else p).add_argument(_flag(f.dest), help=f.help,
+                                               **how)
+    return p
+
+
 def _check_query(args, error):
     """Reject, through the parser's `error`, a modifier on a query it does
     not change, and a query flag or modifier beside --batch."""
-    query = next((q for q in _QUERIES if getattr(args, q) is not None), None)
+    query = next((q.dest for q in _QUERIES
+                  if getattr(args, q.dest) is not None), None)
     given = [m for m in _MODIFIERS if getattr(args, m) not in (None, False)]
     if getattr(args, "batch", None) is not None and (query or given):
         error(f"{_flag(query or given[0])} is not allowed with --batch; "
@@ -88,47 +157,63 @@ class _LineParser(argparse.ArgumentParser):
     """Parses one --batch line: a bad line, -h included, raises instead of
     printing to stdout or exiting the process."""
 
-    def __init__(self):
-        super().__init__(prog="polardl ask --batch line", add_help=False,
-                         parents=[_query_flags()])
-
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+
+# a plain line: bare and single-quoted words, apart from each other by spaces
+_WORD = r"""([^ '"\\\t\r\n]+)|'([^']*)'"""
+_PLAIN = re.compile(f"(?:{_WORD})(?: +(?:{_WORD}))*")
+_WORDS = re.compile(_WORD)
+_BY_FLAG = {_flag(f.dest): f for f in _FLAGS}
+
+
+def _plain_line(line: str):
+    """The Namespace `_LineParser` gives for a plain line when argparse
+    has nothing to resolve in it: every flag spelled in full, one query
+    flag and no argument that starts with "-".  None for any other line."""
+    if not _PLAIN.fullmatch(line):
+        return None
+    words = [word or quoted for word, quoted in _WORDS.findall(line)]
+    args = {f.dest: False if f.nargs == 0 else None for f in _FLAGS}
+    query, i = None, 0
+    while i < len(words):
+        f = _BY_FLAG.get(words[i])
+        count = 1 if f is None or f.nargs in (None, "append") else f.nargs
+        values = words[i + 1:i + 1 + count]
+        if f is None or len(values) < count or (f.ask and query not in (
+                None, f.dest)) or any(v.startswith("-") for v in values):
+            return None
+        query = f.dest if f.ask else query
+        # argparse keeps the last of a repeated flag, appends for --disj
+        args[f.dest] = (True if f.nargs == 0 else values[0] if f.nargs is None
+                        else (args[f.dest] or []) + values
+                        if f.nargs == "append" else values)
+        i += 1 + count
+    return argparse.Namespace(**args)
 
 
 def _arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polardl", description="lattice description logic reasoner")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, text, run, parents in (
+            ("check", "decide ABox consistency", _cmd_check, []),
+            ("ask", "answer a query", _cmd_ask, [_query_flags()]),
+            ("model", "export the saturated model", _cmd_model, []),
+            ("trace", "dump the derivation", _cmd_trace, [])):
+        p = sub.add_parser(name, help=text, parents=parents)
         p.add_argument("kb", help="knowledge base file")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--max-steps", type=int, default=None)
-
-    p_check = sub.add_parser("check", help="decide ABox consistency")
-    common(p_check)
-    p_check.set_defaults(run=_cmd_check)
-    p_check.add_argument("--trace", action="store_true",
-                         help="include the full derivation")
-
-    p_ask = sub.add_parser("ask", help="answer a query",
-                           parents=[_query_flags()])
-    common(p_ask)
-    p_ask.set_defaults(run=_cmd_ask, usage_error=p_ask.error)
-    p_ask.add_argument("--batch", metavar="FILE",
-                       help="file of query lines, one query per line; "
-                            "--trace applies to every line")
-
-    p_model = sub.add_parser("model", help="export the saturated model")
-    common(p_model)
-    p_model.set_defaults(run=_cmd_model)
-    p_model.add_argument("--csv", action="store_true",
-                         help="incidence table instead of JSON")
-
-    p_trace = sub.add_parser("trace", help="dump the derivation")
-    common(p_trace)
-    p_trace.set_defaults(run=_cmd_trace)
+        p.set_defaults(run=run, usage_error=p.error)
+    sub.choices["check"].add_argument("--trace", action="store_true",
+                                      help="include the full derivation")
+    sub.choices["ask"].add_argument(
+        "--batch", metavar="FILE", help="file of query lines, one query per "
+        "line; --trace applies to every line")
+    sub.choices["model"].add_argument("--csv", action="store_true",
+                                      help="incidence table instead of JSON")
     return ap
 
 
@@ -184,83 +269,21 @@ def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     return 0 if comp.is_consistent else 1
 
 
-def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
-    neg = "negative-" if args.neg else ""
-    if args.rel:
-        lhs = parse_individual(args.rel[0], kb)
-        role = Role.parse(args.rel[1])
-        rhs = parse_individual(args.rel[2], kb)
-        if args.neg:
-            ans = engine.ask_negative_relational(S.rel(role, lhs, rhs))
-        else:
-            ans = engine.ask_relational(lhs, role, rhs)
-        query = {"type": neg + "relational", "term": str(S.rel(role, lhs, rhs))}
-    elif args.list_related:
-        anchor = parse_individual(args.list_related[0], kb)
-        role = Role.parse(args.list_related[1])
-        side = args.side or "right"
-        ans = engine.list_related(anchor, role, side,
-                                  include_synthetic=args.include_synthetic)
-        query = {"type": "list-related", "anchor": str(anchor),
-                 "role": str(role), "side": side}
-    elif args.member:
-        ind = parse_individual(args.member[0], kb)
-        concept = parse_concept(args.member[1], kb)
-        ans = (engine.ask_negative_membership if args.neg
-               else engine.ask_membership)(ind, concept)
-        query = {"type": neg + "membership", "individual": str(ind),
-                 "concept": str(concept)}
-    elif args.list_members:
-        concept = parse_concept(args.list_members[0], kb)
-        side = args.side or "extent"
-        ans = engine.list_members(concept, side,
-                                  include_synthetic=args.include_synthetic)
-        query = {"type": "list-members", "concept": str(concept),
-                 "side": side}
-    elif args.subsume:
-        c1 = parse_concept(args.subsume[0], kb)
-        c2 = parse_concept(args.subsume[1], kb)
-        ans = (engine.ask_negative_subsumption if args.neg
-               else engine.ask_subsumption)(c1, c2)
-        query = {"type": neg + "subsumption", "c1": str(c1), "c2": str(c2)}
-    elif args.disj:
-        terms = [parse_term(t, kb) for t in args.disj]
-        ans = engine.ask_disjunctive(terms)
-        query = {"type": "disjunctive", "terms": [str(t) for t in terms]}
-    elif args.sep:
-        role = Role.parse(args.sep[0])
-        first = parse_individual(args.sep[1], kb)
-        second = parse_individual(args.sep[2], kb)
-        ans = engine.ask_separation(first, second, role)
-        query = {"type": "separation", "role": str(role),
-                 "first": str(first), "second": str(second)}
-    elif args.sep_rel:
-        lhs = Role.parse(args.sep_rel[0])
-        rhs = Role.parse(args.sep_rel[1])
-        pivot = parse_individual(args.sep_rel[2], kb)
-        ans = engine.ask_relation_separation(lhs, rhs, pivot)
-        query = {"type": "relation-separation", "lhs": str(lhs),
-                 "rhs": str(rhs), "pivot": str(pivot)}
-    elif args.dif:
-        first = parse_individual(args.dif[0], kb)
-        second = parse_individual(args.dif[1], kb)
-        role = args.role or "I"
-        ans = engine.ask_differentiation(first, second, Role.parse(role))
-        query = {"type": "differentiation", "first": str(first),
-                 "second": str(second), "role": role}
-    elif args.identity:
-        first = parse_individual(args.identity[0], kb)
-        second = parse_individual(args.identity[1], kb)
-        ans = engine.ask_identity(first, second)
-        query = {"type": "identity-distinguishable", "first": str(first),
-                 "second": str(second)}
-    elif args.equiv:
-        other = QueryEngine(_load(args.equiv), max_steps=engine.max_steps)
-        ans = engine.ask_equivalence(other)
-        query = {"type": "equivalence", "other": args.equiv}
-    else:
+def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine,
+                   concept=None) -> dict:
+    read = {"i": lambda text: parse_individual(text, kb), "r": Role.parse,
+            "c": concept or (lambda text: parse_concept(text, kb)),
+            "t": lambda text: parse_term(text, kb), "f": str}
+    # an empty --equiv path counts as no query flag
+    q = next((q for q in _QUERIES if getattr(args, q.dest)), None)
+    if q is None:
         raise PolardlError("no query flag given")
-    payload = {"command": "ask", "query": query, "answer": ans.value}
+    given = getattr(args, q.dest)
+    texts = [given] if q.nargs is None else given
+    values = [read[kind](text) for kind, text in zip(cycle(q.kinds), texts)]
+    ans = q.ask(engine, args, *values)
+    payload = {"command": "ask", "query": q.record(args, *values),
+               "answer": ans.value}
     if args.trace and ans.certificate is not None:
         payload["certificate"] = ans.certificate
     return payload
@@ -268,19 +291,20 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine) -> dict:
 
 def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     if args.batch:
-        # a bad line gets an error record and the batch goes on; exit 2
-        # when any line failed
-        ap = _LineParser()
+        # a bad line gets an error record, the batch goes on, exit code 2;
+        # each concept text is parsed once, if it parses
+        concept = cache(lambda text: parse_concept(text, kb))
+        ap = _query_flags(_LineParser)
         with open(args.batch, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.strip().startswith("#")]
+            lines = [ln for ln in map(str.strip, fh)
+                     if ln and not ln.startswith("#")]
         failed = False
         for line in lines:
             try:
-                sub = ap.parse_args(shlex.split(line))
+                sub = _plain_line(line) or ap.parse_args(shlex.split(line))
                 _check_query(sub, ap.error)
                 sub.trace = sub.trace or args.trace
-                payload = _run_ask_query(sub, kb, engine)
+                payload = _run_ask_query(sub, kb, engine, concept)
             except (*_INPUT_ERRORS, argparse.ArgumentError) as exc:
                 failed = True
                 payload = _error_payload(exc)
@@ -295,9 +319,8 @@ def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
         if args.trace and "certificate" in payload:
             cert = payload["certificate"]
             if cert.get("kind") == "clash":
-                print("clash derivation:")
-                for line in _steps_lines(cert["steps"]):
-                    print(line)
+                print("\n".join(["clash derivation:",
+                                 *_steps_lines(cert["steps"])]))
             else:
                 print(json.dumps(cert, sort_keys=True))
     return 0
@@ -308,9 +331,8 @@ def _cmd_model(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     if args.csv:
         sys.stdout.write(model_to_csv(m))
     else:
-        payload = {"command": "model"}
-        payload.update(model_to_dict(m))
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps({"command": "model", **model_to_dict(m)},
+                         sort_keys=True, indent=2))
     return 0
 
 

@@ -175,12 +175,21 @@ class QueryEngine:
                      side: str = "right", *,
                      include_synthetic: bool = False) -> Answer:
         """All individuals related to the anchor under the role, on the
-        given side; original names only unless include_synthetic."""
+        given side; original names only unless include_synthetic.  I and
+        box roles relate an object to a feature, dia roles a feature to
+        an object: an anchor of the other sort is rejected."""
         if side not in ("right", "left"):
             raise UnsupportedQueryError(
                 f"side must be 'right' or 'left', not {side!r}")
         self._require_consistent()
         self._known(anchor)
+        dia = role.kind == "dia"
+        if (anchor.sort == (S.FEAT if dia else S.OBJ)) != (side == "right"):
+            raise UnsupportedQueryError(
+                f"{role} relates "
+                f"{'a feature to an object' if dia else 'an object to a feature'}"
+                f": {anchor} cannot stand on its "
+                f"{'left' if side == 'right' else 'right'}")
         return _listing(self.completion, role, anchor, side,
                         include_synthetic)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,9 +7,11 @@ import shlex
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from polardl import cli
 from polardl.cli import main
+from polardl.queries import QueryEngine
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MOVIES = str(FIXTURES / "movies.kb")
@@ -113,6 +116,12 @@ class TestAsk:
         assert code == 0
         assert json.loads(out.splitlines()[0]) == ["f4", "f6"]
 
+    def test_list_related_of_a_feature_on_the_left(self):
+        code, out, _ = run_cli("ask", MOVIES, "--list-related", "f3", "I",
+                               "--side", "left")
+        assert code == 0
+        assert json.loads(out) == ["m1"]
+
     def test_membership_json(self):
         code, out, _ = run_cli("ask", MOVIES, "--member", "m4",
                                "box1 DM and box2 DM", "--format", "json")
@@ -197,6 +206,25 @@ class TestAsk:
     def test_unknown_name_is_error(self):
         code, _, err = run_cli("ask", MOVIES, "--list-related", "m9", "I")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("query, message", [
+        (("f3", "I"), "I relates an object to a feature: f3 cannot stand "
+                      "on its left"),
+        (("m3", "Rdia1"), "Rdia1 relates a feature to an object: m3 cannot "
+                          "stand on its left"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_list_related_rejects_an_anchor_of_the_wrong_sort(
+            self, query, message, fmt):
+        code, out, err = run_cli("ask", MOVIES, "--list-related", *query,
+                                 "--format", fmt)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        if fmt == "json":
+            assert json.loads(out) == {"error": {
+                "message": message, "type": "UnsupportedQueryError"}}
+        else:
+            assert out == ""
 
     @pytest.mark.parametrize("query, message", [
         (("m1", "Rfoo", "f3"), "not a role name"),
@@ -310,6 +338,22 @@ class TestAsk:
         assert [d.get("answer") for d in docs] == [["f4", "f6"], None, True]
         assert docs[1]["error"]["type"] == "ArgumentError"
         assert message in docs[1]["error"]["message"]
+
+    def test_batch_rejects_an_anchor_of_the_wrong_sort(self, tmp_path):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--list-related f3 I\n"
+                         "--list-related f3 I --side left\n")
+        code, out, err = run_cli("ask", MOVIES, "--batch", str(batch))
+        assert code == 2
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"error": {"message": "I relates an object to a feature: f3 "
+                                  "cannot stand on its left",
+                       "type": "UnsupportedQueryError"}},
+            {"answer": ["m1"], "command": "ask",
+             "query": {"anchor": "f3", "role": "I", "side": "left",
+                       "type": "list-related"}}]
+        assert err == ("error: --list-related f3 I: I relates an object to "
+                       "a feature: f3 cannot stand on its left\n")
 
     def test_batch_unknown_side_is_an_error_record(self, tmp_path):
         batch = tmp_path / "queries.txt"
@@ -505,3 +549,125 @@ class TestRandomInput:
         assert len(records) == len(queries), lines
         for record in records:
             assert isinstance(json.loads(record), dict), lines
+
+
+# -- batch lines against the argparse reference ------------------------------
+
+class _ReferenceLineParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _reference_batch(lines, kb_path, max_steps):
+    """The records and stderr of `ask --batch` over the lines, each line
+    read by shlex.split and argparse, checked by `_check_query` and
+    answered by `_run_ask_query`."""
+    kb = cli._load(kb_path)
+    engine = QueryEngine(kb, max_steps=max_steps)
+    ap = _ReferenceLineParser(add_help=False, parents=[cli._query_flags()])
+    records, err = [], ""
+    for line in map(str.strip, lines):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            args = ap.parse_args(shlex.split(line))
+            cli._check_query(args, ap.error)
+            payload = cli._run_ask_query(args, kb, engine)
+        except (*cli._INPUT_ERRORS, argparse.ArgumentError) as exc:
+            payload = cli._error_payload(exc)
+            err += f"error: {line}: {exc}\n"
+        records.append(json.dumps(payload, sort_keys=True))
+    return records, err
+
+
+def _assert_plain_lines_read_as_argparse(lines):
+    ap = _ReferenceLineParser(add_help=False, parents=[cli._query_flags()])
+    for line in map(str.strip, lines):
+        fast = cli._plain_line(line)
+        if fast is not None:
+            assert fast == ap.parse_args(shlex.split(line)), line
+
+
+def _batch(tmp, lines, *flags):
+    batch = pathlib.Path(tmp) / "queries.txt"
+    batch.write_text("\n".join(lines), encoding="utf-8")
+    return run_cli("ask", MOVIES, "--batch", str(batch), *flags)
+
+
+def _equiv_paths(tmp):
+    return {"movies": MOVIES, "clash": CLASH, "tmp": tmp,
+            "missing": str(pathlib.Path(tmp) / "missing.kb")}
+
+
+def _assert_batch_matches_reference(tmp, lines):
+    code, out, err = _batch(tmp, lines, "--max-steps", "20000")
+    records, expected_err = _reference_batch(lines, MOVIES, 20000)
+    assert out.splitlines() == records, lines
+    assert err == expected_err, lines
+    assert code == (2 if expected_err else 0), lines
+
+
+_EDGE_LINES = [
+    "--mem m1 GM", "--se I m4 m2", "--li m3 I", "--rel=m1 I f3",
+    "--member m1 -1", "--member -- m1",
+    "a'b c'", "--member m1 'GM''FM'", "--member m1 'GM'x", "--member 'm1' GM",
+    '--member m1 "GM and FM"', '--member m1 "G\\"M"', "--member m1 G\\M",
+    "--member\tm1 GM", "--member m1\tGM", "--member m1 GM\t--trace",
+    "--member m1 'GM'--trace", "--member m1 GM\x0bFM",
+    "--member m1\x0bGM", "--member m1 G\x0cM", "--member m1\u00a0GM",
+    "--member m1 'GM\u00a0'", "--member m1 GM#x", "--member m1#x GM",
+    "--member m1 GM --trace", "--list-related m3 I --trace --trace",
+    "--rel m3 I f4 --rel m1 I f3", "--neg --neg --member m1 GM",
+    "--side left --side right --list-related f3 I",
+    "--disj 'm2 : GM' --disj 'm3 : RDM'", "--disj 'm2 : GM' --rel m3 I f4",
+    "-h", "--dif m2 m4 -h", "--help", "--member m1", "--member m1 GM FM",
+    "--member m1 ''", "''", "--list-related m3 I --side", "--equiv",
+    "--member m4 'box1 DM", "--list-related f3 I", "--list-related m3 Rdia1",
+    "--neg --dif m2 m4", "--dif m2 m4 --role Rbox1", "--trace",
+    "--list-members 'box1 DM and box2 DM' --side intent",
+    "--subsume 'box2 (RM and DM)' 'box2 DM'",
+    "--subsume 'box2 (RM and DM)' 'box2 (RM and DM)'",
+]
+
+
+class TestBatchAgainstArgparse:
+    @pytest.mark.parametrize("line", _EDGE_LINES)
+    def test_edge_line_matches_argparse(self, tmp_path, line):
+        _assert_batch_matches_reference(tmp_path, ["--dif m2 m4", line])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_QUERY_LINES, min_size=1, max_size=4))
+    def test_random_lines_match_argparse(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = [line.format(**_equiv_paths(tmp))
+                     if line.startswith("--equiv") else line
+                     for line in lines]
+            _assert_batch_matches_reference(tmp, lines)
+
+    def test_plain_edge_lines_read_as_argparse_reads_them(self):
+        _assert_plain_lines_read_as_argparse(_EDGE_LINES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_QUERY_LINES, min_size=1, max_size=4))
+    def test_plain_random_lines_read_as_argparse_reads_them(self, lines):
+        _assert_plain_lines_read_as_argparse(lines)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_QUERY_LINES)
+    def test_random_query_flags_on_argv(self, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            if line.startswith("--equiv"):
+                line = line.format(**_equiv_paths(tmp))
+            try:
+                words = shlex.split(line)
+            except ValueError:
+                words = None
+            assume(words is not None and "-h" not in words)
+            code, out, _ = run_cli("ask", MOVIES, *words, "--format", "json",
+                                   "--max-steps", "20000")
+            assert code in (0, 2), line
+            if out:
+                _, record, _ = _batch(tmp, [line], "--max-steps", "20000")
+                assert json.loads(out) == json.loads(record), line
+            else:
+                assert code == 2, line

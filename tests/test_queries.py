@@ -47,6 +47,28 @@ class TestRelational:
     def test_list_related_left_side(self, movies_engine):
         assert movies_engine.list_related(f3, I, side="left").value == ["m1"]
 
+    @pytest.mark.parametrize("anchor, role, side, message", [
+        (f3, I, "right", "I relates an object to a feature: f3 cannot "
+                         "stand on its left"),
+        (m3, P.Role("box", 1), "left", "Rbox1 relates an object to a "
+                                       "feature: m3 cannot stand on its right"),
+        (m3, P.Role("dia", 1), "right", "Rdia1 relates a feature to an "
+                                        "object: m3 cannot stand on its left"),
+        (f3, P.Role("dia", 2), "left", "Rdia2 relates a feature to an "
+                                       "object: f3 cannot stand on its right"),
+    ])
+    def test_list_related_rejects_an_anchor_of_the_wrong_sort(
+            self, movies_engine, anchor, role, side, message):
+        with pytest.raises(UnsupportedQueryError) as info:
+            movies_engine.list_related(anchor, role, side)
+        assert str(info.value) == message
+
+    def test_list_related_on_each_role_side(self, movies_engine):
+        dia1, box1 = P.Role("dia", 1), P.Role("box", 1)
+        assert movies_engine.list_related(f3, dia1).value == ["m3"]
+        assert movies_engine.list_related(m3, dia1, "left").value == ["f3", "f5"]
+        assert movies_engine.list_related(f3, box1, "left").value == ["m3"]
+
     @pytest.mark.parametrize("side", ["bogus", "extent", "Right"])
     def test_list_related_rejects_an_unknown_side(self, movies_engine, side):
         with pytest.raises(UnsupportedQueryError):
