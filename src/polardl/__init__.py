@@ -13,7 +13,6 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
                      atom, meet, join, box, dia,
                      named_obj, named_feat, classifier_obj, classifier_feat,
                      black_diamond, adj_diamond, adj_box, black_square,
-                     pad_obj, pad_feat,
                      rel_i, rel_box, rel_dia, rel, member, neg,
                      subconcepts, occurs_in, occurring_concepts,
                      depth_profile)

@@ -274,8 +274,8 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine,
     read = {"i": lambda text: parse_individual(text, kb), "r": Role.parse,
             "c": concept or (lambda text: parse_concept(text, kb)),
             "t": lambda text: parse_term(text, kb), "f": str}
-    # an empty --equiv path counts as no query flag
-    q = next((q for q in _QUERIES if getattr(args, q.dest)), None)
+    q = next((q for q in _QUERIES if getattr(args, q.dest) is not None),
+             None)
     if q is None:
         raise PolardlError("no query flag given")
     given = getattr(args, q.dest)

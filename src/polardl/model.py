@@ -35,12 +35,11 @@ from .tableaux import Completion
 
 
 def _bits(mask: int):
-    i = 0
+    """The positions of the set bits of a mask, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Polarity:
@@ -270,9 +269,9 @@ def check_i_compatibility(m: Model) -> ICompatReport:
 
 def build_model(c: Completion) -> Model:
     """The saturated model: carriers are all names occurring in the
-    completion plus one isolated object/feature pair, relations are the
-    derived facts, and each occurring atom D is interpreted by the
-    column of x_D and the row of a_D.
+    completion in order of first occurrence, then one isolated pair;
+    relations are the derived facts, and each occurring atom D is
+    interpreted by the column of x_D and the row of a_D.
 
     The padding pair keeps empty relation sections Galois-stable (an
     empty object set is stable only when no object carries every
@@ -280,17 +279,17 @@ def build_model(c: Completion) -> Model:
     """
     if c.clash is not None:
         raise ClashPresentError("cannot build a model from a clashed completion")
-    objects = c.objects()
-    features = c.features()
+    objects, features = {}, {}
+    for a in c.provenance:
+        for ind in a.individuals():
+            (objects if ind.sort == S.OBJ else features)[ind] = None
     if objects or features:
-        objects = objects + (S.pad_obj(),)
-        features = features + (S.pad_feat(),)
-    pairs = [(a.left, a.right) for a in c.assertions if a.kind == S.REL_I]
-    p = Polarity(objects, features, pairs)
+        objects[S.pad_obj()] = features[S.pad_feat()] = None
+    p = Polarity(objects, features, [(a.left, a.right) for a in c.provenance
+                                     if a.kind == S.REL_I])
 
-    box_rows: dict = {}
-    dia_rows: dict = {}
-    for a in c.assertions:
+    box_rows, dia_rows = {}, {}
+    for a in c.provenance:
         if a.kind == S.REL_BOX:
             rows = box_rows.setdefault(a.index, [0] * len(objects))
             rows[p.obj_index[a.left]] |= 1 << p.feat_index[a.right]

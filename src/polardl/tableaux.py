@@ -92,11 +92,9 @@ before they build it.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
-from collections.abc import Mapping
+from collections import ChainMap, Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .errors import (ResourceLimitError, UnknownIndividualError,
                      UnsupportedRuleError)
@@ -225,26 +223,6 @@ BASE_RULES = ()
 _NO_ROW: dict = {}   # the row of a key nothing is indexed under; never written
 
 
-class _Layers(Mapping):
-    """A resumed run's provenance: the base's facts, then its own."""
-
-    def __init__(self, inherited: dict, own: dict):
-        self.inherited, self.own = inherited, own
-
-    def __getitem__(self, a):
-        hit = self.own.get(a)
-        return self.inherited[a] if hit is None else hit
-
-    def __contains__(self, a):
-        return a in self.own or a in self.inherited
-
-    def __iter__(self):
-        return chain(self.inherited, self.own)
-
-    def __len__(self):
-        return len(self.inherited) + len(self.own)
-
-
 class Completion:
     """A saturation run.  The run `saturate` returns is finished: the
     saturated assertion set with provenance and clash witness, never
@@ -261,7 +239,7 @@ class Completion:
         self.individuals = individuals   # of the input assertions
 
         # assertion -> (rule label, premises): the facts this run added,
-        # its base's, and both in completion order (_Layers once resumed)
+        # its base's, and both in completion order (a ChainMap once resumed)
         self.own, self.inherited, self.base = {}, {}, base
         self.provenance = self.own
         self.rows, self.base_rows = {}, {}  # key -> {partner: fact}
@@ -319,21 +297,6 @@ class Completion:
 
     def positives(self):
         return [a for a in self.provenance if a.kind != S.NEG]
-
-    def objects(self):
-        return self._carriers[0]
-
-    def features(self):
-        return self._carriers[1]
-
-    @cached_property
-    def _carriers(self) -> tuple:
-        """(objects, features), each in order of first occurrence."""
-        objs, feats = {}, {}
-        for a in self.provenance:
-            for ind in a.individuals():
-                (objs if ind.sort == S.OBJ else feats)[ind] = None
-        return tuple(objs), tuple(feats)
 
     @cached_property
     def invariant_violations(self) -> tuple:
@@ -431,7 +394,7 @@ class Completion:
         else:
             run.inherited, run.base_rows = self.own, self.rows
         if run.inherited:
-            run.provenance = _Layers(run.inherited, run.own)
+            run.provenance = ChainMap(run.own, run.inherited)
         run.neg_relational = dict(self.neg_relational)
         run.fired = self.fired
         return run

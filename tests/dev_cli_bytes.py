@@ -111,6 +111,10 @@ def invocations():
     yield ["ask", "clash.kb", "--batch", "good.txt"]
     yield ["ask", "movies.kb", "--batch", "good.txt", "--neg"]
     yield ["ask", "movies.kb", "--batch", "good.txt", "--dif", "m2", "m4"]
+    # an empty --equiv path names a file that cannot be read
+    for fmt in ("text", "json"):
+        yield ["ask", "movies.kb", "--equiv", "", "--format", fmt]
+    yield ["ask", "movies.kb", "--batch", "equiv.txt"]
     for argv in (["-h"], ["ask", "-h"], ["check", "-h"], [], ["ask"],
                  ["bogus", "movies.kb"], ["check", "missing.kb"],
                  ["check", "movies.kb", "--format", "xml"],
@@ -144,6 +148,8 @@ def main():
             "\n".join(line for pair in zip(GOOD_LINES, BAD_LINES)
                       for line in pair)
             + "\n", encoding="utf-8")
+        pathlib.Path(tmp, "equiv.txt").write_text("--equiv ''\n",
+                                                  encoding="utf-8")
         os.chdir(tmp)
         try:
             count = 0

@@ -10,6 +10,7 @@ each other.  Every correction carries the forcing derivation (or the
 impossibility argument) next to it.
 """
 
+import polardl.syntax
 import polardl as P
 
 # -- atoms -------------------------------------------------------------------
@@ -99,7 +100,7 @@ COL_LABELS = {
     "x10": _clf_f(P.meet(GM, C)), "x11": _clf_f(P.box(1, DM)),
     "x12": _clf_f(P.box(2, DM)), "x13": _clf_f(FDM_X),
     "x14": _clf_f(P.box(2, RDM_X)), "x15": _clf_f(P.dia(1, RM)),
-    "x16": P.pad_feat(),  # the isolated padding feature
+    "x16": polardl.syntax.pad_feat(),  # the isolated padding feature
     "bsq1x15": P.black_square(_clf_f(P.dia(1, RM)), 1),
     "box2x4": P.adj_box(_clf_f(RM), 2),        # = classifier of box2 RM
     "f1": f1, "f2": f2, "f3": f3, "f4": f4, "f5": f5, "f6": f6,

@@ -188,6 +188,25 @@ class TestAsk:
             assert json.loads(out) == {"error": {
                 "message": "no query flag given", "type": "PolardlError"}}
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_empty_equiv_path_is_a_file_that_cannot_be_read(self, fmt):
+        code, out, err = run_cli("ask", MOVIES, "--equiv", "", "--format",
+                                 fmt)
+        assert code == 2
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        if fmt == "json":
+            assert json.loads(out) == {"error": {
+                "message": "[Errno 2] No such file or directory: ''",
+                "type": "FileNotFoundError"}}
+
+    def test_empty_equiv_path_on_a_batch_line(self, tmp_path):
+        code, out, err = _batch(tmp_path, ["--equiv ''", "--dif m2 m4"])
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert docs[0]["error"]["type"] == "FileNotFoundError"
+        assert docs[1]["answer"] is True
+        assert err.startswith("error: --equiv '': [Errno 2]")
+
     def test_separation_flags(self):
         _, out, _ = run_cli("ask", MOVIES, "--sep", "I", "m4", "m2")
         assert json.loads(out.splitlines()[0]) is True

@@ -1,14 +1,17 @@
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polardl as P
 from polardl.errors import (BudgetExceededError, ClashPresentError,
                             UnknownAtomError, UnknownNameError)
-from polardl.model import Polarity
+from polardl import syntax as S
+from polardl.model import Polarity, _bits
 
+import dev_sequence_digest
 import fuzz
 import movie_data as MD
 
@@ -38,6 +41,16 @@ def up_oracle(p, objs):
 def down_oracle(p, feats):
     return frozenset(b for b in p.objects
                      if all(p.has(b, y) for y in feats))
+
+
+@given(st.one_of(st.integers(0, 1 << 70),
+                 st.integers(0, 1 << 4000),
+                 st.lists(st.integers(0, 3999), max_size=40).map(
+                     lambda bits: sum({1 << i for i in bits}))))
+@example(0)
+def test_bits_lists_the_set_bits_ascending(mask):
+    assert list(_bits(mask)) == [i for i in range(mask.bit_length())
+                                 if mask >> i & 1]
 
 
 class TestGalois:
@@ -191,6 +204,26 @@ class TestBuildModel:
         # membership facts in the completion coincide with model truth
         for a in movie_table_completion.positives():
             assert P.check_satisfies(movie_model, a)
+
+    def test_carrier_order_is_pinned(self):
+        # the carriers in library order (first occurrence in the
+        # completion, padding last) and both exports, for the base run of
+        # the first 150 corpus ABoxes of tests/dev_sequence_digest.py and
+        # one run resumed from it, hashed into one
+        lines = []
+        for _, base in fuzz.consistent_corpus(
+                dev_sequence_digest.CORPUS_SEED, 150):
+            fresh = P.meet(P.atom("Fresh"),
+                           min(base.occurring, key=str, default=D))
+            resumed = P.saturate(
+                base.input_assertions | set(S.creation_terms(fresh)),
+                start=base)
+            for comp in (base, resumed):
+                m = P.build_model(comp)
+                lines += [str(m.polarity.objects), str(m.polarity.features),
+                          json.dumps(P.model_to_dict(m), sort_keys=True),
+                          P.model_to_csv(m)]
+        assert dev_sequence_digest._digest(lines) == "3a99869e24f648fe"
 
 
 class TestBoundedSearch:

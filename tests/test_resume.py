@@ -184,7 +184,7 @@ def test_relational_index_matches_a_scan(indexed_runs):
         for comp in comps:
             roles = {P.Role.of(a) for a in comp.assertions if a.is_relational}
             for role in sorted(roles, key=str):
-                for anchor in comp.objects() + comp.features():
+                for anchor in S.individuals_in(comp.provenance):
                     for side in ("right", "left"):
                         assert (comp.related(role, anchor, side)
                                 == _related_by_scan(comp, role, anchor, side)
@@ -219,7 +219,7 @@ def test_membership_index_matches_a_scan(indexed_runs):
             held = {k for k in comp.rows.keys() | comp.base_rows.keys()
                     if k[0] in (S.MEM_OBJ, S.MEM_FEAT)}
             assert held == expected.keys(), n
-            ends = comp.objects() + comp.features() + tuple(comp.occurring)
+            ends = [*S.individuals_in(comp.provenance), *comp.occurring]
             for kind, modal in ((S.MEM_OBJ, S.BOX), (S.MEM_FEAT, S.DIA)):
                 keys = [(kind, None, end) for end in ends]
                 keys += [(kind, modal, c) for c in comp.occurring]
