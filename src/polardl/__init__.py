@@ -18,7 +18,7 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
                      depth_profile)
 from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)
-from .tbox import rewrite_gci, check_acyclic, unravel, definition_map
+from .tbox import check_acyclic, unravel, definition_map
 from .tableaux import (BASE_RULES, Completion, saturate, CopyRule,
                        RelationInclusionRule, SubsumptionRule)
 from .model import (Polarity, Model, build_model, galois_up, galois_down,

@@ -8,9 +8,9 @@ Subcommands:
     trace KB                 dump the full derivation as JSON lines
 
 Machine-readable output goes to stdout, diagnostics to stderr.  With
---format json every path prints a JSON document, including errors other
-than argparse usage errors.  Identical invocations produce byte-identical
-output.
+--format json every path prints a JSON document, errors included: a usage
+error prints argparse's message on stderr and an `ArgumentError` record on
+stdout.  Identical invocations produce byte-identical output.
 
 One table, `_FLAGS`, holds the flags of a query: a query flag's row gives
 its arity, argument kinds, modifiers, engine call and query record, and
@@ -193,8 +193,23 @@ def _plain_line(line: str):
     return argparse.Namespace(**args)
 
 
+class _ArgvParser(argparse.ArgumentParser):
+    """Parses the command line: a usage error prints what argparse prints,
+    then raises instead of exiting, so that main can add a JSON record."""
+
+    def error(self, message):
+        # a subcommand's error reaches the top-level parser too: print once
+        raised = sys.exc_info()[1]
+        if not getattr(raised, "printed", False):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raised = argparse.ArgumentError(None, message)
+            raised.printed = True
+        raise raised
+
+
 def _arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgvParser(
         prog="polardl", description="lattice description logic reasoner")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text, run, parents in (
@@ -343,9 +358,17 @@ def _cmd_trace(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
-    if args.command == "ask":
-        _check_query(args, args.usage_error)
+    try:
+        args = _arg_parser().parse_args(argv)
+        if args.command == "ask":
+            _check_query(args, args.usage_error)
+    except argparse.ArgumentError as exc:
+        # printed; with --format json (as argparse reads it) a record too
+        only_format = _LineParser(add_help=False)
+        only_format.add_argument("--format", nargs="?")
+        if only_format.parse_known_args(argv)[0].format == "json":
+            print(json.dumps(_error_payload(exc), sort_keys=True))
+        return 2
     try:
         kb = _load(args.kb)
         return args.run(args, kb, QueryEngine(kb, max_steps=args.max_steps))

@@ -6,9 +6,9 @@ incidence role ``I`` between them, and indexed families of box roles
 built from atomic names with binary meet/join and the indexed modal
 operators; there is no top or bottom concept.
 
-Everything here is hash-consed: constructing the same term twice returns
-the same object, so equality is identity and sets/dicts over terms are
-cheap.  All values are immutable and safe to share across threads.
+Everything here is hash-consed, keyed by a term's parts: building the
+same term twice returns the same object, so equality is identity and
+sets/dicts over terms are cheap.  Values are immutable and thread-safe.
 
 Synthetic individuals follow the tableaux conventions:
 
@@ -107,40 +107,32 @@ def _render(c: Concept, level: int) -> str:
     return f"{op}{c.index} {_render(c.child, 2)}"
 
 
-def _intern(table: dict, key, make):
-    """The term interned in table under key; make() builds it when none
-    is.  setdefault keeps the first of two racing builds."""
-    got = table.get(key)
-    if got is None:
-        got = table.setdefault(key, make())
-    return got
-
-
+# terms are always truthy; setdefault keeps the first of racing builds
 def atom(name: str) -> Concept:
     if not name:
         raise ValueError("atomic concept name must be nonempty")
-    return _intern(_concepts, (ATOM, name),
-                   lambda: Concept(ATOM, name=name))
+    return _concepts.get(key := (ATOM, name)) or _concepts.setdefault(
+        key, Concept(ATOM, name=name))
 
 
 def meet(left: Concept, right: Concept) -> Concept:
-    return _intern(_concepts, (MEET, id(left), id(right)),
-                   lambda: Concept(MEET, left=left, right=right))
+    return _concepts.get(key := (MEET, left, right)) or _concepts.setdefault(
+        key, Concept(MEET, left=left, right=right))
 
 
 def join(left: Concept, right: Concept) -> Concept:
-    return _intern(_concepts, (JOIN, id(left), id(right)),
-                   lambda: Concept(JOIN, left=left, right=right))
+    return _concepts.get(key := (JOIN, left, right)) or _concepts.setdefault(
+        key, Concept(JOIN, left=left, right=right))
 
 
 def box(index: int, child: Concept) -> Concept:
-    return _intern(_concepts, (BOX, index, id(child)),
-                   lambda: Concept(BOX, index=index, child=child))
+    return _concepts.get(key := (BOX, index, child)) or _concepts.setdefault(
+        key, Concept(BOX, index=index, child=child))
 
 
 def dia(index: int, child: Concept) -> Concept:
-    return _intern(_concepts, (DIA, index, id(child)),
-                   lambda: Concept(DIA, index=index, child=child))
+    return _concepts.get(key := (DIA, index, child)) or _concepts.setdefault(
+        key, Concept(DIA, index=index, child=child))
 
 
 def subconcepts(c: Concept) -> frozenset:
@@ -170,7 +162,7 @@ ADJ_BOX = "box"      # box image of a feature
 BLACK_SQ = "bsq"     # right adjoint of diamond, applied to a feature
 PAD = "pad"          # isolated carrier element keeping empty sections stable
 
-_individuals: dict = {}
+_names: dict = {}
 
 
 class Individual:
@@ -248,8 +240,8 @@ class Individual:
 def named(sort: str, name: str) -> Individual:
     if not name:
         raise ValueError("individual name must be nonempty")
-    return _intern(_individuals, (NAMED, sort, name),
-                   lambda: Individual(NAMED, sort, name=name))
+    return _names.get(key := (NAMED, sort, name)) or _names.setdefault(
+        key, Individual(NAMED, sort, name=name))
 
 
 def named_obj(name: str) -> Individual:
@@ -262,31 +254,33 @@ def named_feat(name: str) -> Individual:
 
 def classifier_obj(c: Concept) -> Individual:
     """The classifying object a_C."""
-    return _intern(_individuals, (CLASSIFIER, OBJ, id(c)),
-                   lambda: Individual(CLASSIFIER, OBJ, concept=c))
+    return _names.get(key := (CLASSIFIER, OBJ, c)) or _names.setdefault(
+        key, Individual(CLASSIFIER, OBJ, concept=c))
 
 
 def classifier_feat(c: Concept) -> Individual:
     """The classifying feature x_C."""
-    return _intern(_individuals, (CLASSIFIER, FEAT, id(c)),
-                   lambda: Individual(CLASSIFIER, FEAT, concept=c))
+    return _names.get(key := (CLASSIFIER, FEAT, c)) or _names.setdefault(
+        key, Individual(CLASSIFIER, FEAT, concept=c))
 
 
 def pad_obj() -> Individual:
     """The isolated padding object (the bottom row of incidence tables)."""
-    return _intern(_individuals, (PAD, OBJ), lambda: Individual(PAD, OBJ))
+    return _names.get(key := (PAD, OBJ)) or _names.setdefault(
+        key, Individual(PAD, OBJ))
 
 
 def pad_feat() -> Individual:
     """The isolated padding feature."""
-    return _intern(_individuals, (PAD, FEAT), lambda: Individual(PAD, FEAT))
+    return _names.get(key := (PAD, FEAT)) or _names.setdefault(
+        key, Individual(PAD, FEAT))
 
 
 def black_diamond(b: Individual, index: int) -> Individual:
     if b.sort != OBJ:
         raise ValueError("black diamond applies to objects")
-    return _intern(_individuals, (BLACK_DIA, index, id(b)),
-                   lambda: Individual(BLACK_DIA, OBJ, index=index, base=b))
+    return _names.get(key := (BLACK_DIA, index, b)) or _names.setdefault(
+        key, Individual(BLACK_DIA, OBJ, index=index, base=b))
 
 
 def adj_diamond(b: Individual, index: int) -> Individual:
@@ -295,8 +289,8 @@ def adj_diamond(b: Individual, index: int) -> Individual:
         raise ValueError("diamond image applies to objects")
     if b.kind == CLASSIFIER:
         return classifier_obj(dia(index, b.concept))
-    return _intern(_individuals, (ADJ_DIA, index, id(b)),
-                   lambda: Individual(ADJ_DIA, OBJ, index=index, base=b))
+    return _names.get(key := (ADJ_DIA, index, b)) or _names.setdefault(
+        key, Individual(ADJ_DIA, OBJ, index=index, base=b))
 
 
 def adj_box(y: Individual, index: int) -> Individual:
@@ -305,15 +299,15 @@ def adj_box(y: Individual, index: int) -> Individual:
         raise ValueError("box image applies to features")
     if y.kind == CLASSIFIER:
         return classifier_feat(box(index, y.concept))
-    return _intern(_individuals, (ADJ_BOX, index, id(y)),
-                   lambda: Individual(ADJ_BOX, FEAT, index=index, base=y))
+    return _names.get(key := (ADJ_BOX, index, y)) or _names.setdefault(
+        key, Individual(ADJ_BOX, FEAT, index=index, base=y))
 
 
 def black_square(y: Individual, index: int) -> Individual:
     if y.sort != FEAT:
         raise ValueError("black square applies to features")
-    return _intern(_individuals, (BLACK_SQ, index, id(y)),
-                   lambda: Individual(BLACK_SQ, FEAT, index=index, base=y))
+    return _names.get(key := (BLACK_SQ, index, y)) or _names.setdefault(
+        key, Individual(BLACK_SQ, FEAT, index=index, base=y))
 
 
 def dia_adjoint_view(b: Individual):
@@ -401,7 +395,7 @@ NEG = "neg"
 
 RELATIONAL_KINDS = (REL_I, REL_BOX, REL_DIA)
 
-_assertions: dict = {}
+_terms: dict = {}
 
 
 class Assertion:
@@ -459,29 +453,29 @@ class Assertion:
 def rel_i(b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError(f"incidence terms relate an object to a feature: {b} I {y}")
-    return _intern(_assertions, (REL_I, id(b), id(y)),
-                   lambda: Assertion(REL_I, left=b, right=y))
+    return _terms.get(key := (REL_I, b, y)) or _terms.setdefault(
+        key, Assertion(REL_I, left=b, right=y))
 
 
 def rel_box(index: int, b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError("box-role terms relate an object to a feature")
-    return _intern(_assertions, (REL_BOX, index, id(b), id(y)),
-                   lambda: Assertion(REL_BOX, left=b, right=y, index=index))
+    return _terms.get(key := (REL_BOX, index, b, y)) or _terms.setdefault(
+        key, Assertion(REL_BOX, left=b, right=y, index=index))
 
 
 def rel_dia(index: int, y: Individual, b: Individual) -> Assertion:
     if y.sort != FEAT or b.sort != OBJ:
         raise ValueError("dia-role terms relate a feature to an object")
-    return _intern(_assertions, (REL_DIA, index, id(y), id(b)),
-                   lambda: Assertion(REL_DIA, left=y, right=b, index=index))
+    return _terms.get(key := (REL_DIA, index, y, b)) or _terms.setdefault(
+        key, Assertion(REL_DIA, left=y, right=b, index=index))
 
 
 def member(ind: Individual, c: Concept) -> Assertion:
     """b : C for objects, y :: C for features."""
     kind = MEM_OBJ if ind.sort == OBJ else MEM_FEAT
-    return _intern(_assertions, (kind, id(ind), id(c)),
-                   lambda: Assertion(kind, ind=ind, concept=c))
+    return _terms.get(key := (kind, ind, c)) or _terms.setdefault(
+        key, Assertion(kind, ind=ind, concept=c))
 
 
 def creation_terms(c: Concept) -> tuple:
@@ -492,8 +486,8 @@ def creation_terms(c: Concept) -> tuple:
 def neg(a: Assertion) -> Assertion:
     if a.kind == NEG:
         raise ValueError("negation applies only to positive terms")
-    return _intern(_assertions, (NEG, id(a)),
-                   lambda: Assertion(NEG, inner=a))
+    return _terms.get(key := (NEG, a)) or _terms.setdefault(
+        key, Assertion(NEG, inner=a))
 
 
 def rel(role: Role, left: Individual, right: Individual) -> Assertion:

@@ -17,6 +17,8 @@ assertion mentions them.
 
 from __future__ import annotations
 
+import graphlib
+
 from .errors import CycleError, MultipleDefinitionError, SizeLimitError
 from .parser import KnowledgeBase, TBoxAxiom
 from . import syntax as S
@@ -66,33 +68,14 @@ def check_acyclic(tbox) -> list:
             raise MultipleDefinitionError(f"{ax.lhs.name} is defined twice")
         defs[ax.lhs.name] = ax.rhs
 
-    deps = {
-        name: sorted({s.name for s in S.subconcepts(rhs)
-                      if s.kind == S.ATOM and s.name in defs})
-        for name, rhs in defs.items()
-    }
-
-    order: list = []
-    state: dict = {}     # name -> 1 (visiting) | 2 (done)
-    stack: list = []
-
-    def visit(name):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            cycle = stack[stack.index(name):] + [name]
-            raise CycleError(cycle)
-        state[name] = 1
-        stack.append(name)
-        for dep in deps[name]:
-            visit(dep)
-        stack.pop()
-        state[name] = 2
-        order.append(name)
-
-    for name in defs:
-        visit(name)
-    return order
+    deps = {name: sorted({s.name for s in S.subconcepts(rhs)
+                          if s.kind == S.ATOM and s.name in defs})
+            for name, rhs in defs.items()}
+    try:
+        return list(graphlib.TopologicalSorter(deps).static_order())
+    except graphlib.CycleError as exc:
+        # graphlib lists each name before the names that depend on it
+        raise CycleError(exc.args[1][::-1]) from None
 
 
 def substitute_concept(c: S.Concept, mapping: dict, _memo=None) -> S.Concept:
@@ -180,6 +163,5 @@ def unravel(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> frozenset:
     present = S.occurring_concepts(out)
     for rhs in mapping.values():
         if rhs not in present:
-            out.add(S.member(S.classifier_obj(rhs), rhs))
-            out.add(S.member(S.classifier_feat(rhs), rhs))
+            out.update(S.creation_terms(rhs))
     return frozenset(out)

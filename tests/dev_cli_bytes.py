@@ -7,14 +7,15 @@ Each line reads
     <stdout digest> <stderr digest> <exit code> <argv>
 
 for one `polardl` invocation, made in this process through `cli.main`
-with stdout and stderr captured; an argparse exit counts with its code.
+with stdout and stderr captured; the exit of -h counts with its code.
 The fixtures and the batch files are copied into a temporary directory,
 which is the working directory during the run, so no path of the
 checkout shows in the output: the lines of two checkouts compare with
 `diff`.  The list covers `check`, `trace` and `model` in every format on
 both fixtures; every `ask` query kind in text and json, with and without
---trace, with the --neg forms and the error cases; and --batch files of
-good and bad lines.  stderr reports the number of lines.
+--trace, with the --neg forms and the error cases; --batch files of good
+and bad lines; and usage errors in both formats.  stderr reports the
+number of lines.
 """
 
 import contextlib
@@ -120,6 +121,13 @@ def invocations():
                  ["check", "movies.kb", "--format", "xml"],
                  ["ask", "movies.kb", "--rel", "m3", "I"]):
         yield argv
+    # usage errors: stderr as argparse prints it, a JSON record under json
+    for fmt in ("text", "json"):
+        yield ["ask", "movies.kb", "--bogus", "--format", fmt]
+        yield ["bogus", "movies.kb", "--format", fmt]
+        yield ["ask", "--format", fmt]
+    yield ["ask", "movies.kb", "--bogus", "--format=json"]
+    yield ["ask", "movies.kb", "--bogus", "--form", "json"]
 
 
 def _digest(text: str) -> str:
@@ -131,7 +139,7 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:       # an argparse usage error or -h
+        except SystemExit as exc:       # -h
             code = exc.code
     return f"{_digest(out.getvalue())} {_digest(err.getvalue())} {code}"
 

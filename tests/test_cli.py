@@ -26,7 +26,7 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
-        except SystemExit as exc:       # an argparse usage error
+        except SystemExit as exc:       # -h
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -278,8 +278,43 @@ class TestAsk:
     def test_ignored_flag_is_a_usage_error(self, query, message, fmt):
         code, out, err = run_cli("ask", MOVIES, *query, "--format", fmt)
         assert code == 2
-        assert out == ""
         assert message in err
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["type"] == "ArgumentError"
+            assert err.endswith(f"polardl ask: error: {error['message']}\n")
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("argv, prog, message", [
+        (("ask", MOVIES, "--bogus"), "polardl",
+         "unrecognized arguments: --bogus"),
+        (("ask", MOVIES, "--rel", "m3", "I", "f4", "--member", "m1", "IM"),
+         "polardl ask", "argument --member: not allowed with argument --rel"),
+        (("bogus", MOVIES), "polardl", "argument command: invalid choice: "
+         "'bogus' (choose from 'check', 'ask', 'model', 'trace')"),
+        (("ask",), "polardl ask",
+         "the following arguments are required: kb"),
+    ])
+    @pytest.mark.parametrize("fmt", [("--format", "text"),
+                                     ("--format", "json"),
+                                     ("--format=json",), ("--form", "json")])
+    def test_usage_error_on_argv(self, argv, prog, message, fmt):
+        code, out, err = run_cli(*argv, *fmt)
+        assert code == 2
+        # what argparse prints, once: the usage, then the message
+        assert err.startswith("usage: polardl") and err.count("usage:") == 1
+        assert err.endswith(f"\n{prog}: error: {message}\n")
+        if "text" in fmt:
+            assert out == ""
+        else:
+            assert out == json.dumps({"error": {
+                "message": message, "type": "ArgumentError"}}) + "\n"
+
+    def test_help_is_not_a_usage_error(self):
+        code, out, err = run_cli("ask", "-h", "--format", "json")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: polardl ask")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unknown_side_is_an_error(self, fmt):
@@ -685,7 +720,11 @@ class TestBatchAgainstArgparse:
             code, out, _ = run_cli("ask", MOVIES, *words, "--format", "json",
                                    "--max-steps", "20000")
             assert code in (0, 2), line
-            if out:
+            if "--max-steps" in words or line.startswith("#"):
+                # a flag of the command line, not of a query, or a line a
+                # batch file skips as a comment: on argv, a usage error
+                assert json.loads(out)["error"]["type"] == "ArgumentError"
+            elif out:
                 _, record, _ = _batch(tmp, [line], "--max-steps", "20000")
                 assert json.loads(out) == json.loads(record), line
             else:

@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 
@@ -181,7 +182,71 @@ class TestSortDiscipline:
         assert str(P.Role.parse("Rdia2")) == "Rdia2"
 
 
+def _race_terms(name):
+    """Terms of every key shape a saturation builds most, fresh per name."""
+    b, y = S.named_obj(name), S.named_feat(name)
+    return (S.member(b, S.box(1, S.atom(name))), S.rel_i(b, y),
+            S.neg(S.rel_box(1, b, y)))
+
+
+def _parts(term):
+    return [getattr(term, field) for field in (
+        "ind", "concept", "left", "right", "inner", "child", "base")
+        if getattr(term, field, None) is not None]
+
+
+B, B2 = P.named_obj("b"), P.named_obj("b2")
+Y, Y2 = P.named_feat("y"), P.named_feat("y2")
+
+# every constructor, with two choices for each of its parts
+CONSTRUCTORS = [
+    (S.atom, ("D", "E")),
+    (S.meet, (D, E), (E, D)),
+    (S.join, (D, E), (E, D)),
+    (S.box, (1, 2), (D, E)),
+    (S.dia, (1, 2), (D, E)),
+    (S.named, (S.OBJ, S.FEAT), ("b", "b2")),
+    (S.classifier_obj, (D, E)),
+    (S.classifier_feat, (D, E)),
+    (S.pad_obj,),
+    (S.pad_feat,),
+    (S.black_diamond, (B, B2), (1, 2)),
+    (S.adj_diamond, (B, B2), (1, 2)),
+    (S.adj_box, (Y, Y2), (1, 2)),
+    (S.black_square, (Y, Y2), (1, 2)),
+    (S.rel_i, (B, B2), (Y, Y2)),
+    (S.rel_box, (1, 2), (B, B2), (Y, Y2)),
+    (S.rel_dia, (1, 2), (Y, Y2), (B, B2)),
+    (S.member, (B, B2), (D, E)),
+    (S.neg, (S.rel_i(B, Y), S.rel_i(B2, Y))),
+]
+
+
 class TestInterning:
+    def test_each_constructor_interns_by_its_parts(self):
+        built = []
+        for make, *choices in CONSTRUCTORS:
+            args = [first for first, _ in choices]
+            term = make(*args)
+            assert make(*args) is term, make.__name__
+            for i, (_, other) in enumerate(choices):
+                changed = args[:i] + [other] + args[i + 1:]
+                assert make(*changed) is not term, (make.__name__, i)
+            built.append(term)
+        # no two constructors share a term
+        assert len({id(term) for term in built}) == len(CONSTRUCTORS)
+        for i in (1, 2):
+            c = S.meet(S.atom(f"ident{i}"), D)
+            assert S.adj_diamond(S.classifier_obj(c), i) is \
+                S.classifier_obj(S.dia(i, c))
+            assert S.adj_box(S.classifier_feat(c), i) is \
+                S.classifier_feat(S.box(i, c))
+        # the tables keep each term: one built after a collection is the
+        # one built before
+        gc.collect()
+        assert [make(*(first for first, _ in choices))
+                for make, *choices in CONSTRUCTORS] == built
+
     def test_concurrent_construction_gives_one_object_per_key(self):
         # eight threads build the same fresh terms while the interpreter
         # switches threads as often as it can; each table must still map
@@ -191,8 +256,7 @@ class TestInterning:
         built = [None] * workers
 
         def build(k):
-            built[k] = [S.member(S.named_obj(name), S.box(1, S.atom(name)))
-                        for name in names]
+            built[k] = [_race_terms(name) for name in names]
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -207,8 +271,8 @@ class TestInterning:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         for i, name in enumerate(names):
-            terms = {id(run[i]) for run in built}
-            concepts = {id(run[i].concept) for run in built}
-            individuals = {id(run[i].ind) for run in built}
-            assert (len(terms), len(concepts), len(individuals)) == (1, 1, 1)
-            assert built[0][i].concept is S.box(1, S.atom(name))
+            for terms in zip(*(run[i] for run in built)):
+                assert len({id(t) for t in terms}) == 1
+                for parts in zip(*map(_parts, terms)):
+                    assert len({id(part) for part in parts}) == 1
+            assert built[0][i] == _race_terms(name)

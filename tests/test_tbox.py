@@ -50,6 +50,27 @@ class TestAcyclicity:
         with pytest.raises(CycleError):
             check_acyclic(axs)
 
+    def test_cycle_lists_each_name_before_its_dependency(self):
+        # A1 -> A2 -> A3 -> A1, with B outside the cycle
+        axs = [TBoxAxiom("equiv", P.atom(f"A{k}"),
+                         P.meet(P.atom("B"), P.box(1, P.atom(f"A{k % 3 + 1}"))))
+               for k in (1, 2, 3)]
+        axs.append(TBoxAxiom("equiv", P.atom("B"), GM))
+        with pytest.raises(CycleError) as err:
+            check_acyclic(axs)
+        cycle = err.value.cycle
+        assert len(cycle) == 4 and cycle[0] == cycle[-1]
+        assert all(int(b[1:]) == int(a[1:]) % 3 + 1
+                   for a, b in zip(cycle, cycle[1:]))
+
+    def test_long_chain_listed_dependents_first(self):
+        n = 1500
+        axs = [TBoxAxiom("equiv", P.atom(f"C{k}"),
+                         P.meet(GM, P.atom(f"C{k + 1}")))
+               for k in range(n - 1)]
+        axs.append(TBoxAxiom("equiv", P.atom(f"C{n - 1}"), GM))
+        assert check_acyclic(axs) == [f"C{k}" for k in reversed(range(n))]
+
     def test_empty(self):
         assert check_acyclic([]) == []
 
