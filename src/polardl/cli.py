@@ -19,11 +19,19 @@ skips argparse when `_plain_line` reads it: bare or single-quoted words
 apart by spaces, every flag spelled in full, no argument starting with
 "-".  Any other line goes through `shlex.split` and argparse, which stays
 the only source of usage errors.
+
+The program (`python -m polardl.cli`, the `polardl` script) is `program`:
+it runs `main` with the cyclic garbage collector off and freezes every
+object before the interpreter exits, so no collection walks the
+completion, which is never garbage; a run makes no cyclic garbage per
+query line.  `main(argv)` and the library leave the collector as they
+find it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import shlex
@@ -379,5 +387,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def program() -> int:
+    """`main` as the process, with the cyclic collector off; then every
+    object is frozen, as the collection the interpreter makes at exit
+    runs even with the collector off and skips only frozen objects."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

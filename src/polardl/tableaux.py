@@ -353,27 +353,27 @@ class Completion:
         negation; empty when consistent."""
         if self.clash is None:
             return []
-        prov, start = self.provenance, len(self.inherited)
+        own, inherited, start = self.own, self.inherited, len(self.inherited)
         based = self.base._positions if start else {}
-        own = {a: start + i for i, a in enumerate(self.own)}
+        places = {a: start + i for i, a in enumerate(own)}
+        found = {}   # ancestor -> (rule, premises), own layer read first
 
-        def ancestors(root):
-            seen = set()
-            queue = [root]
+        def derived(root):
+            """Derived ancestors of root not found before, in fact order."""
+            queue, new = [root], []
             while queue:
                 a = queue.pop()
-                if a in seen:
-                    continue
-                seen.add(a)
-                queue.extend(prov[a][1])
-            return sorted((a for a in seen if prov[a][0] != "input"),
-                          key=lambda a: own[a] if a in own else based[a])
+                if a not in found:
+                    found[a] = entry = own.get(a) or inherited[a]
+                    queue.extend(entry[1])
+                    if entry[0] != "input":
+                        new.append(a)
+            return sorted(new, key=lambda a: places[a] if a in places
+                          else based[a])
 
         term, negation = self.clash
-        steps = ancestors(term)
-        listed = set(steps)
-        steps += [a for a in ancestors(negation) if a not in listed]
-        return [(prov[a][0], prov[a][1], a) for a in steps]
+        steps = derived(term) + derived(negation)
+        return [(*found[a], a) for a in steps]
 
     # -- saturation ----------------------------------------------------------
 
@@ -410,7 +410,7 @@ class Completion:
         if a.kind == S.NEG:
             if a.inner.is_relational:
                 self.neg_relational[a.inner] = a
-                if a.inner in self.provenance:
+                if a.inner in self.own or a.inner in self.inherited:
                     self.clash = (a.inner, a)
         elif a.is_relational:
             hit = self.neg_relational.get(a)

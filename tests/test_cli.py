@@ -1,9 +1,13 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -729,3 +733,103 @@ class TestBatchAgainstArgparse:
                 assert json.loads(out) == json.loads(record), line
             else:
                 assert code == 2, line
+
+
+# -- the program entry: the process, not main, owns the collector -------------
+
+_SRC = str(pathlib.Path(cli.__file__).parents[1])
+
+
+def _python(*args):
+    """A fresh interpreter that imports polardl from this checkout; its
+    exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=120)
+    return (done.returncode, done.stdout.decode("utf-8"),
+            done.stderr.decode("utf-8"))
+
+
+# one line of each kind a batch reads: plain, argparse fallback (double
+# quotes, an abbreviation), usage error, unknown name, parse error, and
+# clashing and non-clashing extension queries, with and without --trace
+_MIXED_LINES = [
+    "--rel m3 I f4", '--member m1 "GM and FM"', "--mem m1 GM", "--bogus m1",
+    "--rel m9 I f3", "--member m1 'GM and'", "--neg --member m2 GM --trace",
+    "--dif m2 m4", "--sep I m2 m4 --trace", "--identity m1 m3",
+]
+
+
+class TestProgram:
+    @pytest.mark.parametrize("argv, code", [
+        (("check", MOVIES), 0), (("check", CLASH), 1),
+        (("model", MOVIES), 0), (("model", MOVIES, "--csv"), 0),
+        (("trace", CLASH), 0),
+        (("ask", MOVIES, "--batch", "{batch}", "--format", "json"), 2),
+        (("ask", MOVIES, "--bogus", "--format", "json"), 2),
+    ])
+    def test_program_answers_as_main_does(self, tmp_path, argv, code):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--dif m2 m4\n--bogus m1\n--rel m3 I f4\n",
+                         encoding="utf-8")
+        argv = [arg.format(batch=batch) for arg in argv]
+        expected = run_cli(*argv)
+        assert expected[0] == code
+        assert _python("-m", "polardl.cli", *argv) == expected
+
+    def test_program_runs_without_the_collector_and_freezes(self):
+        # as `python -m polardl.cli` runs it, and as perfbench does
+        code, out, err = _python("-c", f"""if True:
+            import gc, runpy, sys
+            sys.argv = ["polardl", "check", {MOVIES!r}]
+            try:
+                runpy.run_module("polardl.cli", run_name="__main__")
+            except SystemExit as exc:
+                print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0,
+                      file=sys.stderr)""")
+        assert (code, out.splitlines()[0], err) == (
+            0, "consistent", "0 False True\n")
+
+    def test_the_script_is_the_program(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"polardl": "polardl.cli:program"}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", [
+        (("check", MOVIES), 0),
+        (("check", CLASH), 1),
+        (("check", str(FIXTURES / "missing.kb")), 2),
+        (("ask", MOVIES, "--bogus"), 2),
+    ])
+    def test_main_leaves_the_collector_as_it_found_it(self, argv, code,
+                                                       enabled):
+        was = gc.isenabled()
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(*argv)[0] == code
+            after = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after == (enabled, frozen)
+
+    def test_a_batch_makes_no_cyclic_garbage_per_line(self, tmp_path):
+        # the program never collects: what a batch leaves for the
+        # collector must not grow with its length
+        def garbage_after(lines):
+            _batch(tmp_path, lines)
+            return gc.collect()
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            garbage_after(_MIXED_LINES)          # first-use caches
+            short = garbage_after(_MIXED_LINES * 3)
+            long = garbage_after(_MIXED_LINES * 12)
+        finally:
+            if was:
+                gc.enable()
+        assert long <= short
