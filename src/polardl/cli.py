@@ -242,8 +242,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 # what bad input raises: OSError, a file that cannot be read (a KB or an
 # --equiv file); ValueError, a role name or term the input cannot form;
-# RecursionError, input nested deeper than the recursive parser and term
-# walkers reach
+# RecursionError, input nested deeper than the recursive parser reaches
 _INPUT_ERRORS = (PolardlError, OSError, ValueError, RecursionError)
 
 

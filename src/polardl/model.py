@@ -270,8 +270,8 @@ def check_i_compatibility(m: Model) -> ICompatReport:
 def build_model(c: Completion) -> Model:
     """The saturated model: carriers are all names occurring in the
     completion in order of first occurrence, then one isolated pair;
-    relations are the derived facts, and each occurring atom D is
-    interpreted by the column of x_D and the row of a_D.
+    relations are the derived facts, and each occurring atom D (in name
+    order) is interpreted by the column of x_D and the row of a_D.
 
     The padding pair keeps empty relation sections Galois-stable (an
     empty object set is stable only when no object carries every
@@ -298,7 +298,7 @@ def build_model(c: Completion) -> Model:
             rows[p.feat_index[a.left]] |= 1 << p.obj_index[a.right]
 
     atoms = {}
-    for concept in c.occurring:
+    for concept in sorted(c.occurring, key=str):   # atoms in name order
         if concept.kind == S.ATOM:
             a_c = S.classifier_obj(concept)
             x_c = S.classifier_feat(concept)

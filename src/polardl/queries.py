@@ -88,14 +88,17 @@ class QueryEngine:
             self.box_roles = None
             self.dia_roles = None
             self._defs = {}
+        self._expanded: dict = {}   # query concept -> its expansion
         self.max_steps = max_steps
         self.saturation_runs = 0
         self._base: T.Completion | None = None
         self._lock = threading.Lock()   # guards _base and saturation_runs
 
     def _expand(self, c: S.Concept) -> S.Concept:
-        """Replace defined names in a query concept by their definitions."""
-        return substitute_concept(c, self._defs) if self._defs else c
+        """The query concept with every defined name expanded, memoized."""
+        if self._defs and c not in self._expanded:
+            self._expanded[c] = substitute_concept(c, self._defs)
+        return self._expanded.get(c, c)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -25,6 +25,7 @@ same value as ``a_{dia_i C}`` and ``box_i(x_C)`` the same as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 # ---------------------------------------------------------------------------
 # Concepts
@@ -40,11 +41,12 @@ _concepts: dict = {}
 
 
 class Concept:
-    """A hash-consed concept term. Construct via atom/meet/join/box/dia."""
+    """A hash-consed concept term. Construct via atom/meet/join/box/dia.
 
-    __slots__ = ("kind", "name", "left", "right", "index", "child",
-                 "box_depth", "dia_depth", "box_prefix", "dia_prefix", "size",
-                 "_subs", "_str")
+    It holds its parts and its node count; `fold` computes the rest."""
+
+    __slots__ = ("kind", "name", "left", "right", "index", "child", "size",
+                 "_str")
 
     def __init__(self, kind, name=None, left=None, right=None,
                  index=None, child=None):
@@ -54,34 +56,12 @@ class Concept:
         self.right = right
         self.index = index
         self.child = child
-        # box_depth/dia_depth: maximal operator nesting anywhere in the
-        # tree; box_prefix/dia_prefix: length of the leading operator
-        # chain at the root (what the classifier identifications peel).
         if kind == ATOM:
-            self.box_depth = 0
-            self.dia_depth = 0
-            self.box_prefix = 0
-            self.dia_prefix = 0
             self.size = 1
-        elif kind in (MEET, JOIN):
-            self.box_depth = max(left.box_depth, right.box_depth)
-            self.dia_depth = max(left.dia_depth, right.dia_depth)
-            self.box_prefix = 0
-            self.dia_prefix = 0
+        elif child is None:
             self.size = 1 + left.size + right.size
-        elif kind == BOX:
-            self.box_depth = child.box_depth + 1
-            self.dia_depth = child.dia_depth
-            self.box_prefix = child.box_prefix + 1
-            self.dia_prefix = 0
-            self.size = 1 + child.size
         else:
-            self.box_depth = child.box_depth
-            self.dia_depth = child.dia_depth + 1
-            self.box_prefix = 0
-            self.dia_prefix = child.dia_prefix + 1
             self.size = 1 + child.size
-        self._subs = None
         self._str = None
 
     def __repr__(self):
@@ -89,22 +69,56 @@ class Concept:
 
     def __str__(self):
         if self._str is None:
-            self._str = _render(self, 0)
+            texts: dict = {}
+            self._str = fold(self, texts, partial(_spell, texts))
         return self._str
 
 
-# Precedence levels for rendering: join < meet < modal/atom.
-def _render(c: Concept, level: int) -> str:
+def fold(c: Concept, memo: dict, combine):
+    """combine's value for c from its parts' values, parts first:
+    combine(atom), combine(t, left, right) for a meet or join, combine(t,
+    child) for a box or dia.  Walks with a stack, not recursion.  memo
+    maps each concept walked to its value, and one in it is not walked
+    again (a memo shared across calls walks shared parts once).  A part
+    is looked up right before its value is used, so combine may drop
+    values from memo; the walk computes them again where needed."""
+    stack = [c]
+    while stack:
+        t = stack[-1]
+        if t in memo:
+            stack.pop()
+        elif t.kind == ATOM:
+            memo[stack.pop()] = combine(t)
+        elif t.child is not None:
+            if t.child in memo:
+                memo[stack.pop()] = combine(t, memo[t.child])
+            else:
+                stack.append(t.child)
+        elif t.left in memo and t.right in memo:
+            memo[stack.pop()] = combine(t, memo[t.left], memo[t.right])
+        else:
+            stack += (t.right, t.left)   # the left part is walked first
+    return memo[c]
+
+
+def _spell(texts: dict, c: Concept, *parts) -> str:
+    # c's text from its parts' texts, which texts then drops: a deep term
+    # renders in linear space, and a shared part is spelled again.  join
+    # binds looser than meet, meet looser than box, dia and atoms.
     if c.kind == ATOM:
         return c.name
+    for part in (c.left, c.right, c.child):
+        texts.pop(part, None)
     if c.kind == JOIN:
-        s = f"{_render(c.left, 1)} or {_render(c.right, 0)}"
-        return f"({s})" if level > 0 else s
+        return f"{_group(c.left, parts[0], JOIN)} or {parts[1]}"
     if c.kind == MEET:
-        s = f"{_render(c.left, 2)} and {_render(c.right, 1)}"
-        return f"({s})" if level > 1 else s
-    op = "box" if c.kind == BOX else "dia"
-    return f"{op}{c.index} {_render(c.child, 2)}"
+        return (f"{_group(c.left, parts[0], MEET, JOIN)} and "
+                f"{_group(c.right, parts[1], JOIN)}")
+    return f"{c.kind}{c.index} {_group(c.child, parts[0], MEET, JOIN)}"
+
+
+def _group(part: Concept, text: str, *loose) -> str:
+    return f"({text})" if part.kind in loose else text
 
 
 # terms are always truthy; setdefault keeps the first of racing builds
@@ -137,14 +151,14 @@ def dia(index: int, child: Concept) -> Concept:
 
 def subconcepts(c: Concept) -> frozenset:
     """All subterms of c, including c itself."""
-    if c._subs is None:
-        if c.kind == ATOM:
-            c._subs = frozenset((c,))
-        elif c.kind in (MEET, JOIN):
-            c._subs = subconcepts(c.left) | subconcepts(c.right) | {c}
-        else:
-            c._subs = subconcepts(c.child) | {c}
-    return c._subs
+    return _closure((c,))
+
+
+def _closure(concepts) -> frozenset:
+    walked: dict = {}
+    for c in concepts:
+        fold(c, walked, lambda *_: None)
+    return frozenset(walked)
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +180,9 @@ _names: dict = {}
 
 
 class Individual:
-    """A hash-consed individual name (object or feature).
+    """A hash-consed individual name (object or feature)."""
 
-    ``box_depth``/``dia_depth`` implement the bookkeeping used by the
-    termination bounds: named individuals sit at (0, 0); the classifier
-    of C sits at (0, -dia_prefix(C)) on the object side and
-    (-box_prefix(C), 0) on the feature side; each adjoint constructor
-    shifts one counter by one in the direction of its rule.  Prefix
-    counts (rather than full nesting depths) are the offsets under which
-    the membership-depth bounds survive meet/join decomposition while
-    the classifier identifications stay depth-consistent.
-    """
-
-    __slots__ = ("kind", "sort", "name", "concept", "index", "base",
-                 "box_depth", "dia_depth", "_str")
+    __slots__ = ("kind", "sort", "name", "concept", "index", "base", "_str")
 
     def __init__(self, kind, sort, name=None, concept=None,
                  index=None, base=None):
@@ -189,31 +192,6 @@ class Individual:
         self.concept = concept
         self.index = index
         self.base = base
-        if kind == NAMED:
-            self.box_depth = 0
-            self.dia_depth = 0
-        elif kind == CLASSIFIER:
-            if sort == OBJ:
-                self.box_depth = 0
-                self.dia_depth = -concept.dia_prefix
-            else:
-                self.box_depth = -concept.box_prefix
-                self.dia_depth = 0
-        elif kind == PAD:
-            self.box_depth = 0
-            self.dia_depth = 0
-        elif kind == BLACK_DIA:
-            self.box_depth = base.box_depth + 1
-            self.dia_depth = base.dia_depth
-        elif kind == ADJ_DIA:
-            self.box_depth = base.box_depth
-            self.dia_depth = base.dia_depth - 1
-        elif kind == ADJ_BOX:
-            self.box_depth = base.box_depth - 1
-            self.dia_depth = base.dia_depth
-        else:  # BLACK_SQ
-            self.box_depth = base.box_depth
-            self.dia_depth = base.dia_depth + 1
         self._str = None
 
     @property
@@ -521,16 +499,43 @@ class DepthProfile:
 
 
 def depth_profile(e) -> DepthProfile:
-    """Depth bookkeeping of a concept or individual."""
-    return DepthProfile(e.box_depth, e.dia_depth)
+    """Depth bookkeeping of a concept or individual, used by the
+    termination bounds, computed when asked.  A concept's depths are its
+    maximal box and dia nesting.  Named and padding individuals sit at
+    (0, 0); the classifier of C at (0, -k) on the object side, k the length
+    of C's leading chain of dia operators, and at (-k, 0) on the feature
+    side, k that of its leading box operators; each adjoint constructor
+    shifts one counter by one in the direction of its rule (bdia box +1,
+    dia dia -1, box box -1, bsq dia +1).  Prefix counts (rather than full
+    nesting depths) are the offsets under which the membership-depth
+    bounds survive meet/join decomposition while the classifier
+    identifications stay depth-consistent."""
+    if isinstance(e, Concept):
+        return DepthProfile(*fold(e, {}, _nesting))
+    box_depth = dia_depth = 0
+    while e.base is not None:   # an adjoint name
+        box_depth += (e.kind == BLACK_DIA) - (e.kind == ADJ_BOX)
+        dia_depth += (e.kind == BLACK_SQ) - (e.kind == ADJ_DIA)
+        e = e.base
+    c = e.concept   # a classifier's; None for named and padding names
+    while c is not None and c.kind == (DIA if e.sort == OBJ else BOX):
+        box_depth -= c.kind == BOX
+        dia_depth -= c.kind == DIA
+        c = c.child
+    return DepthProfile(box_depth, dia_depth)
+
+
+def _nesting(c: Concept, *parts) -> tuple:
+    return (max((p[0] for p in parts), default=0) + (c.kind == BOX),
+            max((p[1] for p in parts), default=0) + (c.kind == DIA))
 
 
 def occurring_concepts(assertions) -> frozenset:
     """Every concept occurring in the assertion set: subterm closure of
     the concepts in membership terms, positive or negated."""
     terms = (a.inner if a.kind == NEG else a for a in assertions)
-    tops = {t.concept for t in terms if t.kind in (MEM_OBJ, MEM_FEAT)}
-    return frozenset().union(*map(subconcepts, tops))
+    return _closure({t.concept for t in terms
+                     if t.kind in (MEM_OBJ, MEM_FEAT)})
 
 
 def occurs_in(c: Concept, assertions) -> bool:

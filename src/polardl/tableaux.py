@@ -278,10 +278,9 @@ class Completion:
 
     @property
     def abox_depth(self) -> S.DepthProfile:
-        # a concept is at least as deep as its subconcepts
-        return S.DepthProfile(
-            max((c.box_depth for c in self.occurring), default=0),
-            max((c.dia_depth for c in self.occurring), default=0))
+        depths = [S.depth_profile(c) for c in self.occurring]
+        return S.DepthProfile(max((d.box_depth for d in depths), default=0),
+                              max((d.dia_depth for d in depths), default=0))
 
     def __contains__(self, a: S.Assertion) -> bool:
         return a in self.provenance

@@ -78,28 +78,18 @@ def check_acyclic(tbox) -> list:
         raise CycleError(exc.args[1][::-1]) from None
 
 
-def substitute_concept(c: S.Concept, mapping: dict, _memo=None) -> S.Concept:
-    """Replace every atom found in mapping by its image, recursively on
-    the tree (images are assumed free of mapped atoms)."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(c)
-    if got is not None:
-        return got
-    if c.kind == S.ATOM:
-        out = mapping.get(c.name, c)
-    elif c.kind == S.MEET:
-        out = S.meet(substitute_concept(c.left, mapping, _memo),
-                     substitute_concept(c.right, mapping, _memo))
-    elif c.kind == S.JOIN:
-        out = S.join(substitute_concept(c.left, mapping, _memo),
-                     substitute_concept(c.right, mapping, _memo))
-    elif c.kind == S.BOX:
-        out = S.box(c.index, substitute_concept(c.child, mapping, _memo))
-    else:
-        out = S.dia(c.index, substitute_concept(c.child, mapping, _memo))
-    _memo[c] = out
-    return out
+def substitute_concept(c: S.Concept, mapping: dict) -> S.Concept:
+    """Replace every atom found in mapping by its image throughout the
+    tree (images are assumed free of mapped atoms)."""
+    def rebuild(t, *parts):
+        if t.kind == S.ATOM:
+            return mapping.get(t.name, t)
+        if t.kind == S.MEET:
+            return S.meet(*parts)
+        if t.kind == S.JOIN:
+            return S.join(*parts)
+        return (S.box if t.kind == S.BOX else S.dia)(t.index, *parts)
+    return S.fold(c, {}, rebuild)
 
 
 def definition_map(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> dict:

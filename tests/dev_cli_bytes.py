@@ -14,8 +14,9 @@ checkout shows in the output: the lines of two checkouts compare with
 `diff`.  The list covers `check`, `trace` and `model` in every format on
 both fixtures; every `ask` query kind in text and json, with and without
 --trace, with the --neg forms and the error cases; --batch files of good
-and bad lines; and usage errors in both formats.  stderr reports the
-number of lines.
+and bad lines; usage errors in both formats; and `check` on a chain of
+990 definitions under a step budget.  stderr reports the number of
+lines.
 """
 
 import contextlib
@@ -128,6 +129,9 @@ def invocations():
         yield ["ask", "--format", fmt]
     yield ["ask", "movies.kb", "--bogus", "--format=json"]
     yield ["ask", "movies.kb", "--bogus", "--form", "json"]
+    # a 990-definition chain runs into its step budget
+    for fmt in ("text", "json"):
+        yield ["check", "chain.kb", "--max-steps", "200", "--format", fmt]
 
 
 def _digest(text: str) -> str:
@@ -158,6 +162,10 @@ def main():
             + "\n", encoding="utf-8")
         pathlib.Path(tmp, "equiv.txt").write_text("--equiv ''\n",
                                                   encoding="utf-8")
+        pathlib.Path(tmp, "chain.kb").write_text(
+            "obj b.\n" + "".join(f"C{k} equiv GM and C{k + 1}.\n"
+                                 for k in range(989))
+            + "C989 equiv GM.\nb : C0.\n", encoding="utf-8")
         os.chdir(tmp)
         try:
             count = 0

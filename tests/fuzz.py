@@ -1,6 +1,7 @@
 """Random ABox generation and completion-invariant checkers shared by the
 module tests and the acceptance suite."""
 
+import functools
 import random
 
 import polardl as P
@@ -165,6 +166,7 @@ def depth_claim_violations(comp, box_slack=0, dia_slack=0):
     """
     bd_a = comp.abox_depth.box_depth
     dd_a = comp.abox_depth.dia_depth
+    depth = functools.cache(S.depth_profile)   # each term once per run
     out = []
 
     def bad(term, what):
@@ -174,51 +176,53 @@ def depth_claim_violations(comp, box_slack=0, dia_slack=0):
         if t.kind == S.NEG:
             continue
         if t.kind == S.REL_I:
-            b, y = t.left, t.right
+            b, y = depth(t.left), depth(t.right)
             if b.box_depth - y.box_depth > bd_a + 1 + box_slack:
                 bad(t, "box gap of an incidence term")
             if y.dia_depth - b.dia_depth > dd_a + 1 + dia_slack:
                 bad(t, "dia gap of an incidence term")
         elif t.kind == S.REL_BOX:
-            b, y = t.left, t.right
+            b, y = depth(t.left), depth(t.right)
             if b.box_depth + 1 - y.box_depth > bd_a + 1 + box_slack:
                 bad(t, "box gap of a box-role term")
             if y.dia_depth - b.dia_depth > dd_a + 1:
                 bad(t, "dia gap of a box-role term")
         elif t.kind == S.REL_DIA:
-            y, b = t.left, t.right
+            y, b = depth(t.left), depth(t.right)
             if b.box_depth - y.box_depth > bd_a + 1:
                 bad(t, "box gap of a dia-role term")
             if y.dia_depth + 1 - b.dia_depth > dd_a + 1 + dia_slack:
                 bad(t, "dia gap of a dia-role term")
         elif t.kind == S.MEM_OBJ:
-            b, c = t.ind, t.concept
+            b, c = depth(t.ind), depth(t.concept)
             if b.box_depth + c.box_depth > bd_a + 1:
                 bad(t, "box sum of an object membership")
             if -b.dia_depth - c.dia_depth > dia_slack:
                 bad(t, "dia sum of an object membership")
         elif t.kind == S.MEM_FEAT:
-            y, c = t.ind, t.concept
+            y, c = depth(t.ind), depth(t.concept)
             if -y.box_depth - c.box_depth > box_slack:
                 bad(t, "box sum of a feature membership")
             if y.dia_depth + c.dia_depth > dd_a + 1:
                 bad(t, "dia sum of a feature membership")
 
     for ind in S.individuals_in(comp.assertions):
+        d = depth(ind)
         if ind.sort == S.OBJ:
-            if ind.box_depth > bd_a + 1 + box_slack:
+            if d.box_depth > bd_a + 1 + box_slack:
                 bad(ind, "object box depth")
-            if ind.dia_depth < -(dd_a + 1 + dia_slack):
+            if d.dia_depth < -(dd_a + 1 + dia_slack):
                 bad(ind, "object dia depth")
         else:
-            if ind.box_depth < -(bd_a + 1 + box_slack):
+            if d.box_depth < -(bd_a + 1 + box_slack):
                 bad(ind, "feature box depth")
-            if ind.dia_depth > dd_a + 1 + dia_slack:
+            if d.dia_depth > dd_a + 1 + dia_slack:
                 bad(ind, "feature dia depth")
 
     for c in {t.concept for t in comp.assertions
               if t.kind in (S.MEM_OBJ, S.MEM_FEAT)}:
-        if c.box_depth > bd_a + 1 or c.dia_depth > dd_a + 1:
+        d = depth(c)
+        if d.box_depth > bd_a + 1 or d.dia_depth > dd_a + 1:
             bad(c, "derived concept depth")
     return out
 

@@ -22,6 +22,10 @@ MOVIES = str(FIXTURES / "movies.kb")
 CLASH = str(FIXTURES / "clash.kb")
 HEADER = "roles box 1 dia 1.\nobj b.\n"
 DEEP_PARENS = "(" * 500 + "DM" + ")" * 500
+# each name defined by the next: unraveled, b's concept nests 990 deep
+CHAIN = ("obj b.\n" + "".join(f"C{k} equiv GM and C{k + 1}.\n"
+                               for k in range(989))
+         + "C989 equiv GM.\nb : C0.\n")
 
 
 def run_cli(*argv):
@@ -110,6 +114,22 @@ class TestCheck:
         assert err.startswith("error: ")
         if fmt == "json":
             assert json.loads(out)["error"]["type"] == "RecursionError"
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_definition_chain_meets_its_step_budget(self, tmp_path,
+                                                         fmt):
+        kb = tmp_path / "chain.kb"
+        kb.write_text(CHAIN)
+        code, out, err = run_cli("check", str(kb), "--max-steps", "200",
+                                 "--format", fmt)
+        assert code == 2
+        assert err == "error: saturation exceeded 200 steps\n"
+        if fmt == "json":
+            assert json.loads(out) == {"error": {
+                "message": "saturation exceeded 200 steps",
+                "type": "ResourceLimitError"}}
         else:
             assert out == ""
 

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -224,6 +228,28 @@ class TestBuildModel:
                           json.dumps(P.model_to_dict(m), sort_keys=True),
                           P.model_to_csv(m)]
         assert dev_sequence_digest._digest(lines) == "3a99869e24f648fe"
+
+    def test_atom_order_does_not_follow_memory_layout(self, tmp_path):
+        # each interpreter interns the atoms in another order before
+        # parsing, which places them at other addresses; all must list
+        # the model's atoms in one order
+        kb = tmp_path / "atoms.kb"
+        kb.write_text("obj b. feat y.\n" + "".join(
+            f"b : A{k}.\ny :: A{k}.\n" for k in range(1, 7)))
+        script = ("import sys\n"
+                  "import polardl as P\n"
+                  "first = [P.atom('A' + k) for k in sys.argv[1]]\n"
+                  "with open(sys.argv[2]) as fh:\n"
+                  "    kb = P.parse_kb(fh.read())\n"
+                  "print(list(P.build_model(P.QueryEngine(kb).completion)"
+                  ".atoms))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(P.__file__).parents[1]))
+        lists = {subprocess.run([sys.executable, "-c", script, order,
+                                 str(kb)], capture_output=True, env=env,
+                                check=True).stdout
+                 for order in ("123456", "654321", "315264")}
+        assert lists == {str([f"A{k}" for k in range(1, 7)]).encode() + b"\n"}
 
 
 class TestBoundedSearch:

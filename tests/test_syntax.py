@@ -7,6 +7,10 @@ from hypothesis import given, strategies as st
 
 import polardl as P
 from polardl import syntax as S
+from polardl.tbox import substitute_concept
+
+import dev_sequence_digest
+import fuzz
 
 D, E, GM, C = P.atom("D"), P.atom("E"), P.atom("GM"), P.atom("C")
 RM, DM = P.atom("RM"), P.atom("DM")
@@ -128,14 +132,89 @@ class TestDepth:
 
     @given(concepts())
     def test_meet_depth_is_max(self, c):
-        m = P.meet(c, P.box(1, c))
-        assert m.box_depth == max(c.box_depth, c.box_depth + 1)
-        assert m.dia_depth == c.dia_depth
+        m, d = P.depth_profile(P.meet(c, P.box(1, c))), P.depth_profile(c)
+        assert m.box_depth == max(d.box_depth, d.box_depth + 1)
+        assert m.dia_depth == d.dia_depth
 
     def test_identification_is_depth_consistent(self):
         a_c = P.classifier_obj(D)
         assert P.depth_profile(P.adj_diamond(a_c, 1)) == \
             P.depth_profile(P.classifier_obj(P.dia(1, D)))
+
+    def test_adjoint_chains_shift_their_base(self):
+        b, y = P.named_obj("b"), P.named_feat("y")
+        assert P.depth_profile(P.adj_diamond(P.black_diamond(b, 1), 2)) == \
+            P.DepthProfile(1, -1)
+        assert P.depth_profile(P.black_square(P.adj_box(y, 1), 1)) == \
+            P.DepthProfile(-1, 1)
+        x_c = P.classifier_feat(P.box(1, P.dia(1, D)))
+        assert P.depth_profile(P.black_square(x_c, 1)) == P.DepthProfile(-1, 1)
+
+    def test_depth_profiles_are_pinned(self):
+        # every individual and concept, with its profile, of the base run
+        # of the first 150 corpus ABoxes of tests/dev_sequence_digest.py
+        # and of one run resumed from it, hashed into one
+        lines = []
+        for _, base in fuzz.consistent_corpus(
+                dev_sequence_digest.CORPUS_SEED, 150):
+            fresh = P.meet(P.atom("Fresh"),
+                           min(base.occurring, key=str, default=D))
+            resumed = P.saturate(
+                base.input_assertions | set(S.creation_terms(fresh)),
+                start=base)
+            for comp in (base, resumed):
+                inds = S.individuals_in(comp.provenance)
+                concepts = comp.occurring | {
+                    t.concept for t in comp.provenance
+                    if t.kind in (S.MEM_OBJ, S.MEM_FEAT)} | {
+                    i.concept for i in inds if i.kind == S.CLASSIFIER}
+                lines += sorted(f"{type(t).__name__} {t} {P.depth_profile(t)}"
+                                for t in inds | concepts)
+        assert dev_sequence_digest._digest(lines) == "d4beb230b5dbe2f6"
+
+
+class TestRendering:
+    @pytest.mark.parametrize("c, text", [
+        (P.meet(P.join(D, E), E), "(D or E) and E"),
+        (P.join(P.join(D, E), E), "(D or E) or E"),
+        (P.join(D, P.join(D, E)), "D or D or E"),
+        (P.meet(P.meet(D, E), D), "(D and E) and D"),
+        (P.meet(D, P.meet(D, E)), "D and D and E"),
+        (P.meet(D, P.join(D, E)), "D and (D or E)"),
+        (P.join(P.meet(D, E), P.meet(E, D)), "D and E or E and D"),
+        (P.box(1, P.meet(D, E)), "box1 (D and E)"),
+        (P.dia(2, P.box(1, P.join(D, E))), "dia2 box1 (D or E)"),
+        (P.meet(P.box(1, D), P.dia(1, E)), "box1 D and dia1 E"),
+        (P.meet(P.join(D, E), P.box(1, P.join(D, E))),
+         "(D or E) and box1 (D or E)"),
+        (P.join(P.meet(D, D), P.meet(D, D)), "D and D or D and D"),
+    ])
+    def test_precedence(self, c, text):
+        assert str(c) == text
+
+    @given(concepts(max_depth=5))
+    def test_text_parses_back(self, c):
+        assert P.parse_concept(str(c), P.parse_kb("roles box 2 dia 2.")) is c
+
+
+class TestDeepTerms:
+    def test_walks_need_no_recursion(self):
+        # 5,000 levels, meet and box1 in turn: deeper than the interpreter
+        # lets a recursive walk go
+        assert sys.getrecursionlimit() < 5000
+        F = P.atom("F")
+        c, c_f, text, levels = D, D, "D", {D, E}
+        for _ in range(2500):
+            c, c_f = P.box(1, P.meet(c, E)), P.box(1, P.meet(c_f, F))
+            text = f"box1 ({text} and E)"
+            levels |= {c, c.child}
+        assert c.size == 7501
+        assert str(c) == text
+        assert P.subconcepts(c) == levels
+        assert P.occurring_concepts({P.member(P.named_obj("b"), c)}) == levels
+        assert substitute_concept(c, {"E": F}) is c_f
+        assert P.depth_profile(c) == P.DepthProfile(2500, 0)
+        assert P.depth_profile(P.classifier_feat(c)) == P.DepthProfile(-1, 0)
 
 
 class TestIdentifications:
