@@ -13,10 +13,10 @@ Grammar (EBNF; `#` starts a line comment, statements end with `.`):
 
 Modal operators spell their index directly (`box1`, `dia2`, `Rbox1`,
 `Rdia2`) and bind tighter than `and`, which binds tighter than `or`;
-`and`/`or` chains associate to the right.  Individual names must be
-declared with their sort before use; role indices must be covered by a
-`roles` declaration.  Only named individuals exist in the surface syntax:
-the synthetic names produced by saturation cannot be written or printed.
+`and`/`or` chains associate to the right.  Names are ASCII words
+(`[A-Za-z_][A-Za-z0-9_]*`); individual names must be declared with their
+sort before use, and role indices covered by a `roles` declaration.
+Synthetic names, which saturation makes, cannot be written or printed.
 """
 
 from __future__ import annotations
@@ -31,8 +31,13 @@ from . import syntax as S
 KEYWORDS = {"obj", "feat", "roles", "and", "or", "not", "equiv", "sub",
             "I", "box", "dia"}
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|::|[:.()]|\S")
-_MODAL_RE = re.compile(r"^(box|dia|Rbox|Rdia)([0-9]+)$")
+# one named group per token kind; a modal is a whole word, `box1a` a name
+_TOKEN_RE = re.compile(r"""
+    (?P<MODAL>(?P<op>box|dia|Rbox|Rdia)(?P<index>[0-9]+)(?![A-Za-z0-9_]))
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<SYM>::|[:.()])
+  | (?P<BAD>\S)""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class KnowledgeBase:
 
 @dataclass
 class _Tok:
-    kind: str    # NAME, MODAL, SYM, EOF
+    kind: str    # NAME, MODAL, INT, SYM, EOF
     text: str
     line: int
     col: int
@@ -82,25 +87,15 @@ class _Tok:
 
 
 def _tokenize(text: str):
+    # the kind is decided here, so a keyword or symbol is known by its text
     toks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(body):
-            word = m.group(0)
-            col = m.start() + 1
-            if word[0].isalpha() or word[0] == "_":
-                mm = _MODAL_RE.match(word)
-                if mm:
-                    toks.append(_Tok("MODAL", word, lineno, col,
-                                     (mm.group(1), int(mm.group(2)))))
-                else:
-                    toks.append(_Tok("NAME", word, lineno, col))
-            elif word.isdigit():
-                toks.append(_Tok("INT", word, lineno, col))
-            elif word in (":", "::", ".", "(", ")"):
-                toks.append(_Tok("SYM", word, lineno, col))
-            else:
-                raise ParseError(f"unexpected character {word!r}", lineno, col)
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            if m.lastgroup == "BAD":
+                raise ParseError(f"unexpected character {m[0]!r}",
+                                 lineno, m.start() + 1)
+            toks.append(_Tok(m.lastgroup, m[0], lineno, m.start() + 1,
+                             m["op"] and (m["op"], int(m["index"]))))
     toks.append(_Tok("EOF", "", len(text.splitlines()) + 1, 1))
     return toks
 
@@ -128,9 +123,14 @@ class _Parser:
 
     def expect_sym(self, sym: str) -> _Tok:
         t = self.next()
-        if t.kind != "SYM" or t.text != sym:
-            raise ParseError(f"expected {sym!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+        if t.text != sym:
+            self.fail(t, f"expected {sym!r}, found {t.text or 'end of input'!r}")
+        return t
+
+    def name(self) -> _Tok:
+        t = self.next()
+        if t.kind != "NAME" or t.text in KEYWORDS:
+            self.fail(t, f"expected individual name, found {t.text!r}")
         return t
 
     def fail(self, tok: _Tok, msg: str):
@@ -141,11 +141,11 @@ class _Parser:
     def parse(self) -> KnowledgeBase:
         while self.peek().kind != "EOF":
             t = self.peek()
-            if t.kind == "NAME" and t.text in ("obj", "feat"):
+            if t.text in ("obj", "feat"):
                 self.decl_individuals()
-            elif t.kind == "NAME" and t.text == "roles":
+            elif t.text == "roles":
                 self.decl_roles()
-            elif (t.kind == "NAME" and t.text == "not") or self.is_assertion_start():
+            elif t.text == "not" or self.is_assertion_start():
                 self.assertion()
             else:
                 self.axiom()
@@ -159,80 +159,65 @@ class _Parser:
         )
 
     def is_assertion_start(self) -> bool:
-        t = self.peek()
-        if t.kind != "NAME" or t.text in KEYWORDS:
-            return False
-        after = self.toks[self.pos + 1]
-        if after.kind == "SYM" and after.text in (":", "::"):
-            return True
-        if after.kind == "NAME" and after.text == "I":
-            return True
-        return after.kind == "MODAL" and after.mod[0] in ("Rbox", "Rdia")
+        t, after = self.toks[self.pos:self.pos + 2]
+        return (t.kind == "NAME" and t.text not in KEYWORDS
+                and _separator(after) is not None)
 
     def decl_individuals(self):
-        sort_tok = self.next()
-        table = self.objs if sort_tok.text == "obj" else self.feats
-        other = self.feats if sort_tok.text == "obj" else self.objs
+        table, other = ((self.objs, self.feats) if self.next().text == "obj"
+                        else (self.feats, self.objs))
         count = 0
-        while True:
-            t = self.peek()
-            if t.kind == "SYM" and t.text == ".":
-                self.next()
-                break
-            if t.kind != "NAME" or t.text in KEYWORDS:
-                self.fail(t, f"expected individual name, found {t.text!r}")
+        while self.peek().text != ".":
+            t = self.name()
             if t.text in other:
                 self.fail(t, f"{t.text!r} already declared with the other sort")
             table.setdefault(t.text, 0)
-            self.next()
             count += 1
+        self.next()
         if count == 0:
             self.fail(self.peek(), "empty declaration")
 
     def decl_roles(self):
         self.next()
+        counts = []
         for kw in ("box", "dia"):
             t = self.next()
-            if t.kind != "NAME" or t.text != kw:
+            if t.text != kw:
                 self.fail(t, f"expected {kw!r} in roles declaration")
             n = self.next()
             if n.kind != "INT":
                 self.fail(n, "expected a role count")
-            if kw == "box":
-                self.box_roles = int(n.text)
-            else:
-                self.dia_roles = int(n.text)
+            counts.append(int(n.text))
+        self.box_roles, self.dia_roles = counts
         self.expect_sym(".")
 
     # -- concepts ----------------------------------------------------------
 
     def concept(self) -> S.Concept:
-        return self.concept_or()
-
-    def concept_or(self) -> S.Concept:
-        left = self.concept_and()
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "or":
+        """unary (("and" | "or") unary)*, read in one loop and grouped
+        from the right, so a chain of any length parses."""
+        operands, ops = [self.concept_unary()], []
+        while (t := self.peek()).text in ("and", "or"):
             self.next()
-            return S.join(left, self.concept_or())
-        return left
-
-    def concept_and(self) -> S.Concept:
-        left = self.concept_unary()
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "and":
-            self.next()
-            return S.meet(left, self.concept_and())
-        return left
+            ops.append(t.text)
+            operands.append(self.concept_unary())
+        # conj is the meet chain being read, disj the joins right of it
+        conj, disj = operands.pop(), None
+        for op, left in zip(reversed(ops), reversed(operands)):
+            if op == "and":
+                conj = S.meet(left, conj)
+            else:
+                conj, disj = left, conj if disj is None else S.join(conj, disj)
+        return conj if disj is None else S.join(conj, disj)
 
     def concept_unary(self) -> S.Concept:
         t = self.next()
-        if t.kind == "MODAL" and t.mod[0] in ("box", "dia"):
+        if t.mod and t.mod[0] in ("box", "dia"):
             op, idx = t.mod
             self.check_role(op, idx, t)
             child = self.concept_unary()
             return S.box(idx, child) if op == "box" else S.dia(idx, child)
-        if t.kind == "SYM" and t.text == "(":
+        if t.text == "(":
             c = self.concept()
             self.expect_sym(")")
             return c
@@ -254,16 +239,15 @@ class _Parser:
     def axiom(self):
         lhs = self.concept()
         t = self.next()
-        if t.kind != "NAME" or t.text not in ("equiv", "sub"):
+        if t.text not in ("equiv", "sub"):
             self.fail(t, f"expected 'equiv' or 'sub', found {t.text!r}")
         rhs = self.concept()
         self.expect_sym(".")
         self.tbox.append(TBoxAxiom(t.text, lhs, rhs))
 
-    def individual(self, want_sort: str) -> S.Individual:
-        t = self.next()
-        if t.kind != "NAME" or t.text in KEYWORDS:
-            self.fail(t, f"expected individual name, found {t.text!r}")
+    def individual(self, want_sort: str, t: _Tok | None = None) -> S.Individual:
+        """The name t, else the next token, declared with the sort."""
+        t = t or self.name()
         if want_sort == S.OBJ:
             if t.text in self.feats:
                 self.fail(t, f"feature name {t.text!r} used as an object")
@@ -277,40 +261,36 @@ class _Parser:
         return S.named_feat(t.text)
 
     def assertion(self):
-        negated = False
-        if self.peek().kind == "NAME" and self.peek().text == "not":
+        negated = self.peek().text == "not"
+        if negated:
             self.next()
-            negated = True
-        head = self.peek()
-        if head.kind != "NAME" or head.text in KEYWORDS:
-            self.fail(head, f"expected individual name, found {head.text!r}")
-        sep = self.toks[self.pos + 1]
-        if sep.kind == "SYM" and sep.text == ":":
-            ind = self.individual(S.OBJ)
-            self.next()
-            term = S.member(ind, self.concept())
-        elif sep.kind == "SYM" and sep.text == "::":
-            ind = self.individual(S.FEAT)
-            self.next()
-            term = S.member(ind, self.concept())
-        elif sep.kind == "NAME" and sep.text == "I":
-            b = self.individual(S.OBJ)
-            self.next()
-            term = S.rel_i(b, self.individual(S.FEAT))
-        elif sep.kind == "MODAL" and sep.mod[0] == "Rbox":
-            b = self.individual(S.OBJ)
-            self.next()
-            self.check_role("Rbox", sep.mod[1], sep)
-            term = S.rel_box(sep.mod[1], b, self.individual(S.FEAT))
-        elif sep.kind == "MODAL" and sep.mod[0] == "Rdia":
-            y = self.individual(S.FEAT)
-            self.next()
-            self.check_role("Rdia", sep.mod[1], sep)
-            term = S.rel_dia(sep.mod[1], y, self.individual(S.OBJ))
-        else:
+        head = self.name()
+        sep = self.next()
+        kind = _separator(sep)
+        if kind is None:
             self.fail(sep, f"expected ':', '::' or a role after {head.text!r}")
+        if kind in (":", "::"):
+            ind = self.individual(S.OBJ if kind == ":" else S.FEAT, head)
+            term = S.member(ind, self.concept())
+        elif kind == "I":
+            term = S.rel_i(self.individual(S.OBJ, head),
+                           self.individual(S.FEAT))
+        else:
+            box = kind == "Rbox"
+            left = self.individual(S.OBJ if box else S.FEAT, head)
+            self.check_role(kind, sep.mod[1], sep)
+            term = (S.rel_box if box else S.rel_dia)(
+                sep.mod[1], left, self.individual(S.FEAT if box else S.OBJ))
         self.expect_sym(".")
         self.abox.add(S.neg(term) if negated else term)
+
+
+def _separator(t: _Tok) -> str | None:
+    """':', '::', 'I', 'Rbox' or 'Rdia' when t may follow the name that
+    heads an assertion, else None."""
+    if t.mod:
+        return t.mod[0] if t.mod[0] in ("Rbox", "Rdia") else None
+    return t.text if t.text in (":", "::", "I") else None
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -361,18 +341,14 @@ def parse_individual(name: str, kb: KnowledgeBase) -> S.Individual:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _check_surface_individual(ind: S.Individual):
-    if ind.kind != S.NAMED:
-        raise SerializationError(
-            f"synthetic name {ind} has no surface spelling")
-
-
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Render a knowledge base so that parse_kb(serialize_kb(kb)) is
     structurally equal to kb. Synthetic individuals are rejected."""
     for a in kb.abox:
         for ind in a.individuals():
-            _check_surface_individual(ind)
+            if ind.kind != S.NAMED:
+                raise SerializationError(
+                    f"synthetic name {ind} has no surface spelling")
     lines = ["# knowledge base"]
     if kb.box_roles or kb.dia_roles:
         lines.append(f"roles box {kb.box_roles} dia {kb.dia_roles}.")

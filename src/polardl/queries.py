@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import (ClashPresentError, UnknownNameError,
                      UnsupportedQueryError)
 from .parser import KnowledgeBase
-from .tbox import definition_map, substitute_concept, unravel
+from .tbox import definition_map, expand_abox, substitute_concept
 from . import syntax as S
 from . import tableaux as T
 from .syntax import Role
@@ -79,10 +79,10 @@ class QueryEngine:
 
     def __init__(self, source, *, max_steps: int | None = None):
         if isinstance(source, KnowledgeBase):
-            self.abox = unravel(source)
+            self._defs = definition_map(source)
+            self.abox = expand_abox(source.abox, self._defs)
             self.box_roles = source.box_roles
             self.dia_roles = source.dia_roles
-            self._defs = definition_map(source)
         else:
             self.abox = frozenset(source)
             self.box_roles = None
@@ -349,15 +349,15 @@ class QueryEngine:
     # -- equivalence ---------------------------------------------------------------
 
     def _entails(self, t: S.Assertion) -> bool:
-        known = self.completion.individuals
         if t.kind == S.NEG:
             inner = t.inner
             if inner.is_relational:
                 return S.neg(inner) in self.abox
-            if inner.ind not in known:
-                return not self._extend([inner]).is_consistent
-            return self.ask_negative_membership(inner.ind, inner.concept).value
-        if any(i not in known for i in t.individuals()):
+            return not self._extend(
+                [S.member(inner.ind, self._expand(inner.concept))]
+            ).is_consistent
+        if any(i not in self.completion.individuals
+               for i in t.individuals()):
             return False
         return self._ask_positive(t).value
 

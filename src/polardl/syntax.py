@@ -69,7 +69,7 @@ class Concept:
 
     def __str__(self):
         if self._str is None:
-            texts: dict = {}
+            texts = _Texts()
             self._str = fold(self, texts, partial(_spell, texts))
         return self._str
 
@@ -101,10 +101,26 @@ def fold(c: Concept, memo: dict, combine):
     return memo[c]
 
 
+class _Texts(dict):
+    """A render's memo: a part whose text is cached counts as walked."""
+
+    def __contains__(self, c):
+        return c._str is not None or dict.__contains__(self, c)
+
+    def __missing__(self, c):
+        return c._str
+
+
+def by_text(concepts) -> list:
+    """The concepts sorted by text, smaller ones rendered first, so each
+    render reads the cached texts of those among its parts."""
+    return sorted(sorted(concepts, key=lambda c: c.size), key=str)
+
+
 def _spell(texts: dict, c: Concept, *parts) -> str:
     # c's text from its parts' texts, which texts then drops: a deep term
-    # renders in linear space, and a shared part is spelled again.  join
-    # binds looser than meet, meet looser than box, dia and atoms.
+    # renders in linear space; a shared part is spelled again unless its
+    # text is cached.  join binds looser than meet, meet than box and dia.
     if c.kind == ATOM:
         return c.name
     for part in (c.left, c.right, c.child):

@@ -256,7 +256,7 @@ class Completion:
             self.join_partners = base.join_partners
         else:
             self.meet_partners, self.join_partners = {}, {}
-            for c in sorted(occurring, key=str):
+            for c in S.by_text(occurring):
                 if c.kind == S.MEET or c.kind == S.JOIN:
                     partners = (self.meet_partners if c.kind == S.MEET
                                 else self.join_partners)
@@ -579,7 +579,7 @@ class Completion:
         for a in sorted(self.input_assertions - base.input_assertions,
                         key=str):
             self.add(a, "input", ())
-        fresh = sorted(self.occurring - base.occurring, key=str)
+        fresh = S.by_text(self.occurring - base.occurring)
         self._create(fresh)
         # operand pairs of base facts only: the others fire in the loop
         for c in fresh:

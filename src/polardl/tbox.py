@@ -94,6 +94,8 @@ def substitute_concept(c: S.Concept, mapping: dict) -> S.Concept:
 
 def definition_map(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> dict:
     """Fully expanded definition for each defined name, or raise."""
+    if not kb.tbox:
+        return {}
     tbox = rewrite_all(kb)
     order = check_acyclic(tbox)
     raw = {ax.lhs.name: ax.rhs for ax in tbox}
@@ -136,12 +138,17 @@ def unravel(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> frozenset:
     pair of its expanded right-hand side is included so the defined
     category exists in the saturated universe.
     """
-    if not kb.tbox:
-        return frozenset(kb.abox)
-    mapping = definition_map(kb, max_nodes)
+    return expand_abox(kb.abox, definition_map(kb, max_nodes), max_nodes)
+
+
+def expand_abox(abox, mapping: dict, max_nodes: int = 1_000_000) -> frozenset:
+    """The ABox unraveled through mapping, a `definition_map`: every
+    defined name replaced and each definition's creation pair added."""
+    if not mapping:
+        return frozenset(abox)
     out = set()
     total = 0
-    for a in kb.abox:
+    for a in abox:
         b = substitute_assertion(a, mapping)
         t = b.inner if b.kind == S.NEG else b
         if t.kind in (S.MEM_OBJ, S.MEM_FEAT):

@@ -16,7 +16,8 @@ both fixtures; every `ask` query kind in text and json, with and without
 --trace, with the --neg forms and the error cases; --batch files of good
 and bad lines; usage errors in both formats; and `check` on a chain of
 990 definitions under a step budget.  stderr reports the number of
-lines.
+lines.  `tests/test_cli.py` pins the sha256 of this output; a change
+that means to change the CLI's bytes updates that constant.
 """
 
 import contextlib
@@ -148,7 +149,8 @@ def run(argv):
     return f"{_digest(out.getvalue())} {_digest(err.getvalue())} {code}"
 
 
-def main():
+def lines():
+    """The digest line of each invocation, in order."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("movies.kb", "clash.kb"):
@@ -168,12 +170,17 @@ def main():
             + "C989 equiv GM.\nb : C0.\n", encoding="utf-8")
         os.chdir(tmp)
         try:
-            count = 0
             for argv in invocations():
-                print(run(argv), shlex.join(argv))
-                count += 1
+                yield f"{run(argv)} {shlex.join(argv)}"
         finally:
             os.chdir(here)
+
+
+def main():
+    count = 0
+    for line in lines():
+        print(line)
+        count += 1
     print(f"{count} invocations", file=sys.stderr)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -99,21 +100,24 @@ class TestCheck:
         code, _, err = run_cli("check", "no-such-file.kb")
         assert code == 2 and "error:" in err
 
-    @pytest.mark.parametrize("concept", [
-        DEEP_PARENS,
-        " and ".join(f"A{k}" for k in range(1200)),
+    # nesting past the parser's reach is a RecursionError record; a long
+    # chain parses, and its saturation meets the step budget
+    @pytest.mark.parametrize("concept, error", [
+        (DEEP_PARENS, "RecursionError"),
+        (" and ".join(f"A{k}" for k in range(1200)), "ResourceLimitError"),
     ], ids=["parentheses", "conjuncts"])
     @pytest.mark.parametrize("command", ["check", "model"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_deep_input_is_an_error_not_a_verdict(self, tmp_path, concept,
-                                                  command, fmt):
+                                                  error, command, fmt):
         kb = tmp_path / "deep.kb"
         kb.write_text(f"{HEADER}b : {concept}.\n")
-        code, out, err = run_cli(command, str(kb), "--format", fmt)
+        code, out, err = run_cli(command, str(kb), "--max-steps", "200",
+                                 "--format", fmt)
         assert code == 2
         assert err.startswith("error: ")
         if fmt == "json":
-            assert json.loads(out)["error"]["type"] == "RecursionError"
+            assert json.loads(out)["error"]["type"] == error
         else:
             assert out == ""
 
@@ -505,6 +509,16 @@ class TestDeterminism:
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+    def test_cli_bytes_are_pinned(self):
+        # the sha256 of what `python tests/dev_cli_bytes.py` prints: every
+        # invocation's stdout and stderr digests and exit code
+        import dev_cli_bytes
+        lines = list(dev_cli_bytes.lines())
+        assert len(lines) == 369
+        assert hashlib.sha256("".join(
+            line + "\n" for line in lines).encode()).hexdigest() == \
+            "60fe52f1f627b70fb9ebb2d488c0e3be4f30c16c90d2e4421bf182df88016632"
 
 
 # -- random KB text: the CLI never lets an exception escape -------------------

@@ -176,6 +176,16 @@ class TestNegativeQueries:
         assert movies_engine.ask_negative_relational(
             P.rel_i(m1, f2)).value is True
 
+    def test_negative_relational_takes_the_negated_term(self,
+                                                         movies_engine):
+        assert movies_engine.ask_negative_relational(
+            P.neg(P.rel_box(1, m1, f6))).value is True
+        assert movies_engine.ask_negative_relational(
+            P.neg(P.rel_box(1, m3, f4))).value is False
+        for t in (P.member(m1, GM), P.neg(P.member(m1, GM))):
+            with pytest.raises(UnsupportedQueryError):
+                movies_engine.ask_negative_relational(t)
+
     def test_negative_relational_never_saturates(self, movies_engine):
         movies_engine.completion
         runs = movies_engine.saturation_runs
@@ -418,6 +428,24 @@ class TestEquivalence:
         second = P.QueryEngine({P.rel_i(b, u)})
         assert first.ask_equivalence(second).value is False
         assert second.ask_equivalence(first).value is False
+
+    def test_terms_of_names_the_engine_lacks(self):
+        # a_D and z occur in the second ABox only: the first entails
+        # not (a_D : E), since b : D and not (b : E), but nothing of z
+        b, z = P.named_obj("b"), P.named_obj("z")
+        base = {P.member(b, D), P.neg(P.member(b, E))}
+        first = P.QueryEngine(base)
+        ans = first.ask_equivalence(
+            base | {P.neg(P.member(P.classifier_obj(D), E))})
+        assert ans.value is True
+        for term in (P.neg(P.member(z, D)), P.member(z, D)):
+            ans = first.ask_equivalence(base | {term})
+            assert ans.value is False
+            assert ans.certificate["failures"] == [
+                f"first does not entail: {term}"]
+
+    def test_against_a_knowledge_base(self, movies_engine, movies_kb):
+        assert movies_engine.ask_equivalence(movies_kb).value is True
 
 
 class TestEngineContracts:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import polardl as P
 from polardl import syntax as S
+from polardl.errors import ResourceLimitError
 from polardl.tbox import substitute_concept
 
 import dev_sequence_digest
@@ -215,6 +216,21 @@ class TestDeepTerms:
         assert substitute_concept(c, {"E": F}) is c_f
         assert P.depth_profile(c) == P.DepthProfile(2500, 0)
         assert P.depth_profile(P.classifier_feat(c)) == P.DepthProfile(-1, 0)
+
+    def test_a_completion_spells_each_occurring_concept_once(self,
+                                                              monkeypatch):
+        # a concept 300 deep whose parts have no text yet; renders that
+        # walked every part would spell 90,299 of them
+        spelled = []
+        spell = S._spell
+        monkeypatch.setattr(S, "_spell",
+                            lambda *a: spelled.append(a[1]) or spell(*a))
+        c = P.atom("Spelled0")
+        for k in range(1, 300):
+            c = P.meet(P.atom(f"Spelled{k}"), c)
+        with pytest.raises(ResourceLimitError):
+            P.saturate({P.member(P.named_obj("b"), c)}, max_steps=10)
+        assert sorted(spelled, key=id) == sorted(P.subconcepts(c), key=id)
 
 
 class TestIdentifications:

@@ -1,6 +1,7 @@
 import pytest
 
 import polardl as P
+from polardl import queries, tbox
 from polardl.errors import CycleError, MultipleDefinitionError, SizeLimitError
 from polardl.parser import KnowledgeBase, TBoxAxiom
 from polardl.tbox import (check_acyclic, definition_map, rewrite_all,
@@ -106,6 +107,23 @@ class TestUnravel:
     def test_empty_tbox_is_identity(self):
         kb = P.parse_kb("obj b. feat y. b I y. b : D.")
         assert unravel(kb) == kb.abox
+
+    def test_an_engine_builds_one_definition_map(self, movies_kb,
+                                                 monkeypatch):
+        # the map check_acyclic orders is the one the ABox expansion and
+        # the query expansion read; a KB without a TBox builds none
+        orders, read = [], []
+        check, expand = tbox.check_acyclic, tbox.expand_abox
+        monkeypatch.setattr(tbox, "check_acyclic",
+                            lambda t: orders.append(t) or check(t))
+        monkeypatch.setattr(queries, "expand_abox",
+                            lambda abox, m: read.append(m) or expand(abox, m))
+        engine = P.QueryEngine(movies_kb)
+        P.QueryEngine(P.parse_kb("obj b. b : IM."))
+        assert len(orders) == 1 and read[0] is engine._defs and read[1] == {}
+        assert engine._defs == definition_map(movies_kb)
+        assert engine.abox == unravel(movies_kb)
+        assert engine._expand(IM) is engine._defs["IM"]
 
     def test_substitution_not_simplified(self, movies_kb):
         # x0 :: GM and IM expands to GM and ((GM or FM) and G); the
