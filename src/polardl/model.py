@@ -298,12 +298,12 @@ def build_model(c: Completion) -> Model:
             rows[p.feat_index[a.left]] |= 1 << p.obj_index[a.right]
 
     atoms = {}
-    for concept in sorted(c.occurring, key=str):   # atoms in name order
-        if concept.kind == S.ATOM:
-            a_c = S.classifier_obj(concept)
-            x_c = S.classifier_feat(concept)
-            atoms[concept.name] = (p.cols[p.feat_index[x_c]],
-                                   p.rows[p.obj_index[a_c]])
+    for concept in sorted((d for d in c.occurring if d.kind == S.ATOM),
+                          key=lambda d: d.name):
+        a_c = S.classifier_obj(concept)
+        x_c = S.classifier_feat(concept)
+        atoms[concept.name] = (p.cols[p.feat_index[x_c]],
+                               p.rows[p.obj_index[a_c]])
     return Model(polarity=p, box_rows=box_rows, dia_rows=dia_rows, atoms=atoms)
 
 

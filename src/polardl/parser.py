@@ -15,7 +15,8 @@ Modal operators spell their index directly (`box1`, `dia2`, `Rbox1`,
 `Rdia2`) and bind tighter than `and`, which binds tighter than `or`;
 `and`/`or` chains associate to the right.  Names are ASCII words
 (`[A-Za-z_][A-Za-z0-9_]*`); individual names must be declared with their
-sort before use, and role indices covered by a `roles` declaration.
+sort before use, role indices covered by a `roles` declaration, and the
+left-hand side of an axiom is a concept name.
 Synthetic names, which saturation makes, cannot be written or printed.
 """
 
@@ -237,10 +238,13 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def axiom(self):
+        head = self.peek()
         lhs = self.concept()
         t = self.next()
         if t.text not in ("equiv", "sub"):
             self.fail(t, f"expected 'equiv' or 'sub', found {t.text!r}")
+        if lhs.kind != S.ATOM:
+            self.fail(head, f"expected a concept name before {t.text!r}")
         rhs = self.concept()
         self.expect_sym(".")
         self.tbox.append(TBoxAxiom(t.text, lhs, rhs))

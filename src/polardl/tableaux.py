@@ -70,23 +70,27 @@ consistent completion comp; a run from scratch resumes the empty run.  A run fir
 only what the delta enables: each new extra rule on the base facts of
 its triggers, the new inputs, creation for newly occurring concepts,
 and and_inv/or_inv for newly occurring meets and joins over pairs of
-base memberships (a pair with a new member fires in the loop).  Every
-base fact has fired, rules are monotone and side conditions only grow,
-so the verdict and a consistent fixpoint equal a run from scratch; a
-clashing run may stop at another partial set.
+base memberships (a pair with a new member fires in the loop, which
+finds the new meet or join in the run's own rows).  Every base fact has
+fired, rules are monotone and side conditions only grow, so the verdict
+and a consistent fixpoint equal a run from scratch; a clashing run may
+stop at another partial set.
 
-Saturation indexes every positive fact by key, key -> {partner: fact}:
+Saturation indexes every positive fact by key, key -> {partner: fact},
+and each occurring meet (join) under each operand:
 
     b Rboxi y:  (rbox, i, b) -> {y: fact},  (rbox, i, y) -> {b: fact}
     b : C:      (mobj, None, b) -> {C: fact},  (mobj, None, C) -> {b: fact}
     b : boxi C: also (mobj, box, C) -> {(i, b): fact}
+    C1 and C2:  (meet, None, C1) -> {C1 and C2: C2},  and under C2
 
-and likewise for I and dia-role facts, and for feature memberships
-(mfeat, with dia in place of box).  A run owns only what it adds: its
-facts and its rows.  Every read takes the base's row first, then the
-run's own, so rows and facts follow completion order.  Join rules (I,
-box, dia, box_y, bsq_y, dia_b, bdia_b) look a conclusion up there
-before they build it.
+and likewise for I and dia-role facts, for feature memberships (mfeat,
+with dia in place of box) and for joins.  A run owns only what it adds:
+its facts, its new concepts and their rows.  Every read takes the
+base's row first, then the run's own, so rows and facts follow
+completion order.  Join rules (I, box, dia, box_y, bsq_y, dia_b, bdia_b)
+look a conclusion up there before they build it; and_inv and or_inv
+read their second premise there.
 """
 
 from __future__ import annotations
@@ -247,22 +251,6 @@ class Completion:
         self.clash = None            # (positive term, its negation)
         self.fired = 0               # facts fired
         self.worklist = deque()
-
-        # operand -> [(meet, other operand)], likewise for joins, in text
-        # order of the concepts, not id-hash order; a fork's concepts
-        # include its base's, so equal sizes mean that none is new
-        if base is not None and len(occurring) == len(base.occurring):
-            self.meet_partners = base.meet_partners
-            self.join_partners = base.join_partners
-        else:
-            self.meet_partners, self.join_partners = {}, {}
-            for c in S.by_text(occurring):
-                if c.kind == S.MEET or c.kind == S.JOIN:
-                    partners = (self.meet_partners if c.kind == S.MEET
-                                else self.join_partners)
-                    partners.setdefault(c.left, []).append((c, c.right))
-                    if c.right is not c.left:
-                        partners.setdefault(c.right, []).append((c, c.left))
 
         self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
         for extra in rules:
@@ -429,9 +417,10 @@ class Completion:
         """The base's row at a key, then this run's own."""
         return self.base_rows.get(key, _NO_ROW), self.rows.get(key, _NO_ROW)
 
-    def _has(self, key, partner) -> bool:
+    def _fact(self, key, partner):
+        """The fact indexed under the key with the partner, or None."""
         based, own = self._rows(key)
-        return partner in own or partner in based
+        return own.get(partner) or based.get(partner)
 
     # -- rule dispatch -------------------------------------------------------
 
@@ -457,9 +446,10 @@ class Completion:
         if c.kind == S.MEET:
             self.add(S.member(b, c.left), "and_A", (a,))
             self.add(S.member(b, c.right), "and_A", (a,))
-        for m, other in self.meet_partners.get(c, ()):
-            if self._has((S.MEM_OBJ, None, b), other):
-                self.add(S.member(b, m), "and_inv", (a, S.member(b, other)))
+        for row in self._rows((S.MEET, None, c)):
+            for m, other in row.items():
+                if p := self._fact((S.MEM_OBJ, None, b), other):
+                    self.add(S.member(b, m), "and_inv", (a, p))
         # join rules add relational facts only: the rows walked stay put
         based, own = self._rows((S.REL_I, None, b))
         for row in self._rows((S.MEM_FEAT, None, c)):
@@ -474,7 +464,7 @@ class Completion:
                         self.add(S.rel_box(c.index, b, y), "box", (a, row[y]))
         for row in self._rows((S.MEM_FEAT, S.DIA, c)):
             for (i, y), p in row.items():
-                if not self._has((S.REL_DIA, i, b), y):
+                if not self._fact((S.REL_DIA, i, b), y):
                     self.add(S.rel_dia(i, y, b), "dia", (p, a))
 
     def fire_feat_membership(self, a):
@@ -482,9 +472,10 @@ class Completion:
         if c.kind == S.JOIN:
             self.add(S.member(y, c.left), "or_X", (a,))
             self.add(S.member(y, c.right), "or_X", (a,))
-        for j, other in self.join_partners.get(c, ()):
-            if self._has((S.MEM_FEAT, None, y), other):
-                self.add(S.member(y, j), "or_inv", (a, S.member(y, other)))
+        for row in self._rows((S.JOIN, None, c)):
+            for j, other in row.items():
+                if p := self._fact((S.MEM_FEAT, None, y), other):
+                    self.add(S.member(y, j), "or_inv", (a, p))
         based, own = self._rows((S.REL_I, None, y))
         for row in self._rows((S.MEM_OBJ, None, c)):
             for b in row:
@@ -498,7 +489,7 @@ class Completion:
                         self.add(S.rel_dia(c.index, y, b), "dia", (a, row[b]))
         for row in self._rows((S.MEM_OBJ, S.BOX, c)):
             for (i, b), p in row.items():
-                if not self._has((S.REL_BOX, i, y), b):
+                if not self._fact((S.REL_BOX, i, y), b):
                     self.add(S.rel_box(i, b, y), "box", (p, a))
 
     def fire_incidence(self, a):
@@ -506,18 +497,18 @@ class Completion:
         if y.kind == S.CLASSIFIER:
             self.add(S.member(b, y.concept), "append_x", (a,))
         elif y.kind == S.ADJ_BOX:
-            if not self._has((S.REL_BOX, y.index, b), y.base):
+            if not self._fact((S.REL_BOX, y.index, b), y.base):
                 self.add(S.rel_box(y.index, b, y.base), "box_y", (a,))
         elif y.kind == S.BLACK_SQ:
-            if not self._has((S.REL_DIA, y.index, b), y.base):
+            if not self._fact((S.REL_DIA, y.index, b), y.base):
                 self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (a,))
         if b.kind == S.CLASSIFIER:
             self.add(S.member(y, b.concept), "append_a", (a,))
         elif b.kind == S.ADJ_DIA:
-            if not self._has((S.REL_DIA, b.index, y), b.base):
+            if not self._fact((S.REL_DIA, b.index, y), b.base):
                 self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
         elif b.kind == S.BLACK_DIA:
-            if not self._has((S.REL_BOX, b.index, y), b.base):
+            if not self._fact((S.REL_BOX, b.index, y), b.base):
                 self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
 
     def fire_box_fact(self, a):
@@ -576,20 +567,23 @@ class Completion:
             for key in extra.triggers:
                 for a in base.facts_at(key):
                     self.add(extra.conclude(a), extra.label, (a,))
+        # rendered smallest first, so the inputs' sort reads cached texts
+        fresh = S.by_text(self.occurring - base.occurring)
         for a in sorted(self.input_assertions - base.input_assertions,
                         key=str):
             self.add(a, "input", ())
-        fresh = S.by_text(self.occurring - base.occurring)
         self._create(fresh)
-        # operand pairs of base facts only: the others fire in the loop
         for c in fresh:
             if c.kind == S.MEET or c.kind == S.JOIN:
+                # a row under each operand; the pairs of base facts fire
+                # here, the others in the loop
+                self.rows.setdefault((c.kind, None, c.left), {})[c] = c.right
+                self.rows.setdefault((c.kind, None, c.right), {})[c] = c.left
                 kind, label = ((S.MEM_OBJ, "and_inv") if c.kind == S.MEET
                                else (S.MEM_FEAT, "or_inv"))
                 for p in base.facts_at((kind, None, c.left)):
-                    if base._has((kind, None, p.ind), c.right):
-                        self.add(S.member(p.ind, c), label,
-                                 (p, S.member(p.ind, c.right)))
+                    if q := base._fact((kind, None, p.ind), c.right):
+                        self.add(S.member(p.ind, c), label, (p, q))
         return self._loop()
 
     def _loop(self) -> Completion:

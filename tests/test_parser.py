@@ -96,6 +96,9 @@ PARSE_ERRORS = [
     ("kb", "roles box 1 dia 1. obj m. feat f. m Rbox2 f.",
      "1:37: role index 2 not covered by the roles declaration"),
     ("kb", "A B.", "1:3: expected 'equiv' or 'sub', found 'B'"),
+    ("kb", "A and B equiv C.", "1:1: expected a concept name before 'equiv'"),
+    ("kb", "obj m.\n(A or B) sub C.",
+     "2:1: expected a concept name before 'sub'"),
     ("kb", "obj b. feat y. b I .", "1:20: expected individual name, found '.'"),
     ("kb", "obj m4. feat f1. f1 : IM.",
      "1:18: feature name 'f1' used as an object"),
@@ -232,7 +235,7 @@ _SOUP = st.lists(st.sampled_from(
 class TestConceptReader:
     @given(_CHAIN)
     def test_same_terms_as_the_recursive_reader(self, chain):
-        text = f"{_HEADER}m : {chain}.\n{chain} sub (A or {chain}).\n"
+        text = f"{_HEADER}m : {chain}.\nQ sub (A or {chain}).\n"
         got = _read(P.parse_kb, text)
         assert got == _read(lambda t: _RecursiveReader(t).parse(), text)
         assert got[0] is not ParseError

@@ -295,9 +295,8 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
     # the relational index is layered: the fork reads the base's rows
     assert run.rows == {} and run.base_rows is base.rows
     rows = {k: dict(v) for k, v in base.rows.items()}
-    # no concept is new, so the partner lists are the base's
-    assert run.meet_partners is base.meet_partners
-    assert run.join_partners is base.join_partners
+    # no concept is new, so the operand rows are the base's alone
+    assert (S.MEET, None, P.atom("GM")) in base.rows
     assert list(run.provenance) == list(base.provenance)
     assert not any(_written_keys(run, base).values())
     for k in base.rows:
@@ -317,11 +316,11 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
     assert run.rows and all(a in run.own for row in run.rows.values()
                             for a in row.values())
 
-    # a new concept rebuilds the partner lists
+    # a new meet is a row of the run's own under each operand
     new = P.meet(P.atom("GM"), P.atom("Fresh"))
     run = base.fork(abox | set(S.creation_terms(new)), rules, None, None)
-    assert run.meet_partners is not base.meet_partners
-    assert (new, P.atom("Fresh")) in run.meet_partners[P.atom("GM")]
+    run.resume(base)
+    assert run.rows[(S.MEET, None, P.atom("GM"))] == {new: P.atom("Fresh")}
 
     # a fork of a resumed run reads one flat layer of rows, equal to
     # the base's and its own, and writes neither
@@ -334,6 +333,23 @@ def test_a_fork_shares_the_base_until_it_writes(movies_kb):
         assert list(row.values()) == middle.facts_at(key)
     again.resume(middle)
     assert {k: dict(v) for k, v in base.rows.items()} == rows
+
+
+def test_a_resumed_run_walks_the_base_operand_row_first():
+    """The new meet A and C shares the operand A with the base's meet A
+    and D: on the new fact b : A, and_inv reads the base's row under A
+    before the run's own, and so derives b : A and D first."""
+    A, C, D = (P.atom(n) for n in "ACD")
+    b, c = P.named_obj("b"), P.named_obj("c")
+    abox = {P.member(b, C), P.member(b, D), P.member(c, P.meet(A, D))}
+    base = P.saturate(abox)
+    extended = abox | {P.member(b, A)} | set(S.creation_terms(P.meet(A, C)))
+    run = P.saturate(extended, start=base)
+    scratch = P.saturate(extended)
+    assert run.is_consistent and scratch.is_consistent
+    assert [a for a, (rule, _) in run.own.items() if rule == "and_inv"] \
+        == [P.member(b, P.meet(A, D)), P.member(b, P.meet(A, C))]
+    assert set(run.provenance) == set(scratch.provenance)
 
 
 def _wide_abox(n):

@@ -4,8 +4,9 @@ import polardl as P
 from polardl import queries, tbox
 from polardl.errors import CycleError, MultipleDefinitionError, SizeLimitError
 from polardl.parser import KnowledgeBase, TBoxAxiom
-from polardl.tbox import (check_acyclic, definition_map, rewrite_all,
-                          rewrite_gci, substitute_concept, unravel)
+from polardl.tbox import (check_acyclic, definition_map, expand_abox,
+                          rewrite_all, rewrite_gci, substitute_concept,
+                          unravel)
 
 IM, EUM, GM, FM, D = (P.atom(n) for n in ("IM", "EUM", "GM", "FM", "D"))
 
@@ -151,6 +152,20 @@ class TestUnravel:
                             abox=frozenset(abox))
         out = unravel(kb2)
         assert P.neg(P.rel_i(P.named_obj("b"), P.classifier_feat(GM))) in out
+
+    def test_defined_name_inside_an_adjoint_spelling(self):
+        kb = P.parse_kb("feat y. D equiv GM and FM.")
+        y = P.named_feat("y")
+        fact = P.rel_i(P.black_diamond(P.classifier_obj(D), 1), y)
+        kb2 = KnowledgeBase(feat_names=kb.feat_names, box_roles=1,
+                            tbox=kb.tbox, abox=frozenset({fact}))
+        expanded = P.classifier_obj(P.meet(GM, FM))
+        assert P.rel_i(P.black_diamond(expanded, 1), y) in unravel(kb2)
+
+    def test_abox_expansion_meets_its_node_budget(self):
+        kb = P.parse_kb("obj b. b : D. D equiv GM and FM.")
+        with pytest.raises(SizeLimitError, match="ABox expansion"):
+            expand_abox(kb.abox, definition_map(kb), max_nodes=2)
 
     def test_size_limit(self):
         # each definition doubles the previous one: exponential expansion
