@@ -14,7 +14,7 @@ from .syntax import (Concept, Individual, Assertion, Role, DepthProfile,
                      named_obj, named_feat, classifier_obj, classifier_feat,
                      black_diamond, adj_diamond, adj_box, black_square,
                      rel_i, rel_box, rel_dia, rel, member, neg,
-                     subconcepts, occurs_in, occurring_concepts,
+                     subconcepts, occurring_concepts,
                      depth_profile)
 from .parser import (KnowledgeBase, TBoxAxiom, parse_kb, serialize_kb,
                      parse_concept, parse_term, parse_individual)

@@ -72,32 +72,29 @@ class Polarity:
             out &= self.cols[i]
         return out
 
-    def obj_mask(self, inds) -> int:
+    def _position(self, sort, ind) -> int:
+        """The position of an individual in the carrier of `sort`."""
+        i = (self.obj_index if sort == S.OBJ else self.feat_index).get(ind)
+        if i is None:
+            raise UnknownNameError(
+                f"unknown {'object' if sort == S.OBJ else 'feature'} {ind}")
+        return i
+
+    def _mask(self, sort, inds) -> int:
         out = 0
-        for b in inds:
-            i = self.obj_index.get(b)
-            if i is None:
-                raise UnknownNameError(f"unknown object {b}")
-            out |= 1 << i
+        for ind in inds:
+            out |= 1 << self._position(sort, ind)
         return out
 
+    def obj_mask(self, inds) -> int:
+        return self._mask(S.OBJ, inds)
+
     def feat_mask(self, inds) -> int:
-        out = 0
-        for y in inds:
-            i = self.feat_index.get(y)
-            if i is None:
-                raise UnknownNameError(f"unknown feature {y}")
-            out |= 1 << i
-        return out
+        return self._mask(S.FEAT, inds)
 
     def index(self, ind) -> int:
         """The position of an individual in the carrier of its sort."""
-        obj = ind.sort == S.OBJ
-        i = (self.obj_index if obj else self.feat_index).get(ind)
-        if i is None:
-            raise UnknownNameError(
-                f"unknown {'object' if obj else 'feature'} {ind}")
-        return i
+        return self._position(ind.sort, ind)
 
     def obj_set(self, mask: int) -> frozenset:
         return frozenset(self.objects[i] for i in _bits(mask))
@@ -138,20 +135,6 @@ class Model:
     dia_rows: dict = field(default_factory=dict)
     atoms: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, repr=False)
-
-    def box_cols(self, i: int):
-        cols = [0] * len(self.polarity.features)
-        for bi, mask in enumerate(self.box_rows.get(i, [])):
-            for yi in _bits(mask):
-                cols[yi] |= 1 << bi
-        return cols
-
-    def dia_cols(self, i: int):
-        cols = [0] * len(self.polarity.objects)
-        for yi, mask in enumerate(self.dia_rows.get(i, [])):
-            for bi in _bits(mask):
-                cols[bi] |= 1 << yi
-        return cols
 
     def interpret_mask(self, c: S.Concept):
         got = self._memo.get(c)
@@ -227,39 +210,45 @@ class ICompatReport:
         return self.ok
 
 
+def _sides(p: Polarity):
+    """The object and the feature carrier of p, each as (names, closure);
+    the closure maps a mask over the carrier to its Galois closure."""
+    return ((p.objects, lambda mask: p.down_mask(p.up_mask(mask))),
+            (p.features, lambda mask: p.up_mask(p.down_mask(mask))))
+
+
+def _unstable_section(rows, left, right) -> str | None:
+    """The first row, then the first column, of one relation that is not
+    Galois-stable, described; None if every section is stable.  The
+    relation runs from carrier `left` to carrier `right`, each a
+    (names, closure) pair of _sides: rows[k] is the mask over `right`
+    related to left[k], and the columns are its transpose."""
+    (l_names, l_close), (r_names, r_close) = left, right
+    cols = [0] * len(r_names)
+    for k, row in enumerate(rows):
+        if r_close(row) != row:
+            return (f"row of {l_names[k]} is not stable: "
+                    f"{sorted(str(r_names[j]) for j in _bits(row))}")
+        for j in _bits(row):
+            cols[j] |= 1 << k
+    for j, col in enumerate(cols):
+        if l_close(col) != col:
+            return (f"column of {r_names[j]} is not stable: "
+                    f"{sorted(str(l_names[k]) for k in _bits(col))}")
+    return None
+
+
 def check_i_compatibility(m: Model) -> ICompatReport:
-    """Verify that every row and column section of every box/dia relation
-    is Galois-stable; reports the first failure."""
-    p = m.polarity
-
-    def stable_ext(mask):
-        return p.down_mask(p.up_mask(mask)) == mask
-
-    def stable_int(mask):
-        return p.up_mask(p.down_mask(mask)) == mask
-
-    for i, rows in sorted(m.box_rows.items()):
-        for bi, row in enumerate(rows):
-            if not stable_int(row):
-                return ICompatReport(False,
-                    f"Rbox{i} row of {p.objects[bi]} is not stable: "
-                    f"{sorted(map(str, p.feat_set(row)))}")
-        for yi, col in enumerate(m.box_cols(i)):
-            if not stable_ext(col):
-                return ICompatReport(False,
-                    f"Rbox{i} column of {p.features[yi]} is not stable: "
-                    f"{sorted(map(str, p.obj_set(col)))}")
-    for i, rows in sorted(m.dia_rows.items()):
-        for yi, row in enumerate(rows):
-            if not stable_ext(row):
-                return ICompatReport(False,
-                    f"Rdia{i} row of {p.features[yi]} is not stable: "
-                    f"{sorted(map(str, p.obj_set(row)))}")
-        for bi, col in enumerate(m.dia_cols(i)):
-            if not stable_int(col):
-                return ICompatReport(False,
-                    f"Rdia{i} column of {p.objects[bi]} is not stable: "
-                    f"{sorted(map(str, p.feat_set(col)))}")
+    """Verify that every row and column of every box/dia relation is
+    Galois-stable; reports the first failure, box relations before dia
+    relations, each in index order."""
+    objs, feats = _sides(m.polarity)
+    for name, relations, left, right in (("Rbox", m.box_rows, objs, feats),
+                                         ("Rdia", m.dia_rows, feats, objs)):
+        for i, rows in sorted(relations.items()):
+            unstable = _unstable_section(rows, left, right)
+            if unstable:
+                return ICompatReport(False, f"{name}{i} {unstable}")
     return ICompatReport(True)
 
 
@@ -370,15 +359,20 @@ def bounded_model_search(assertions, max_objects: int = 3,
     Every individual name is treated as free, so pass assertion sets
     over named individuals only: a synthetic classifier name would lose
     its classifying meaning here.
+
+    `budget` bounds the units of work; one unit is each incidence
+    choice, each candidate relation of one role (a product of its rows'
+    candidates, tested for I-compatibility on its own), each
+    combination of one relation per role, and each combination of atom
+    interpretations.  Past it, BudgetExceededError is raised.
     """
     assertions = list(assertions)
     axioms = list(axioms)
     concepts = S.occurring_concepts(assertions).union(
         *(S.subconcepts(c) for pair in axioms for c in pair))
-    obj_names = sorted({i for a in assertions for i in a.individuals()
-                        if i.sort == S.OBJ}, key=str)
-    feat_names = sorted({i for a in assertions for i in a.individuals()
-                         if i.sort == S.FEAT}, key=str)
+    names = sorted(S.individuals_in(assertions), key=str)
+    obj_names = [i for i in names if i.sort == S.OBJ]
+    feat_names = [i for i in names if i.sort == S.FEAT]
     atoms = sorted({c.name for c in concepts if c.kind == S.ATOM})
     box_idx, dia_idx = S.role_indices(assertions, concepts)
 
@@ -395,146 +389,102 @@ def bounded_model_search(assertions, max_objects: int = 3,
             elems_o = tuple(S.named_obj(f"_e{k}") for k in range(n_obj))
             elems_f = tuple(S.named_feat(f"_u{k}") for k in range(n_feat))
             for o_asg in _canonical_assignments(obj_names, n_obj):
-                o_map = dict(zip(obj_names, o_asg))
                 for f_asg in _canonical_assignments(feat_names, n_feat):
-                    f_map = dict(zip(feat_names, f_asg))
+                    place = dict(zip(obj_names + feat_names, o_asg + f_asg))
                     m = _search_with_assignment(
-                        assertions, axioms, elems_o, elems_f, o_map, f_map,
+                        assertions, axioms, elems_o, elems_f, place,
                         atoms, box_idx, dia_idx, spend)
                     if m is not None:
                         return (m,
-                                {b: elems_o[e] for b, e in o_map.items()},
-                                {y: elems_f[e] for y, e in f_map.items()})
+                                {b: elems_o[place[b]] for b in obj_names},
+                                {y: elems_f[place[y]] for y in feat_names})
     return None
 
 
-def _search_with_assignment(assertions, axioms, elems_o, elems_f, o_map,
-                            f_map, atoms, box_idx, dia_idx, spend):
-    n_obj, n_feat = len(elems_o), len(elems_f)
-    cells = [(bi, yi) for bi in range(n_obj) for yi in range(n_feat)]
-    forced_on = set()
-    forced_off = set()
-    def element(ind):
-        if ind.sort == S.OBJ:
-            return elems_o[o_map[ind]]
-        return elems_f[f_map[ind]]
-
-    translated = [S.map_assertion(a, element, lambda c: c)
-                  for a in assertions]
-    for t in translated:
+def _search_with_assignment(assertions, axioms, elems_o, elems_f, place,
+                            atoms, box_idx, dia_idx, spend):
+    """The first model in which each name lies at its position in
+    `place`, or None."""
+    # literal constraints: bits forced into or out of an atom's extent
+    # (False) or intent (True) by atomic membership terms, and into or
+    # out of a row of I or of a role by relational terms
+    req: dict = {}      # (atom, is_intent) or (kind, index, row) -> [on, off]
+    for t in assertions:
         inner = t.inner if t.kind == S.NEG else t
-        if inner.kind == S.REL_I:
-            cell = (elems_o.index(inner.left), elems_f.index(inner.right))
-            (forced_off if t.kind == S.NEG else forced_on).add(cell)
-    if forced_on & forced_off:
-        return None
-    free = [c for c in cells if c not in forced_on and c not in forced_off]
-
-    # per-atom literal constraints: bits forced into or out of the extent
-    # (intent) by atomic membership terms
-    atom_req = {name: [0, 0, 0, 0] for name in atoms}   # ext+, ext-, int+, int-
-    role_req: dict = {}          # (kind, index) -> (on rows, off rows)
-    for t in translated:
-        inner = t.inner if t.kind == S.NEG else t
-        pos = t.kind != S.NEG
-        if inner.kind == S.MEM_OBJ and inner.concept.kind == S.ATOM:
-            bit = 1 << elems_o.index(inner.ind)
-            atom_req[inner.concept.name][0 if pos else 1] |= bit
-        elif inner.kind == S.MEM_FEAT and inner.concept.kind == S.ATOM:
-            bit = 1 << elems_f.index(inner.ind)
-            atom_req[inner.concept.name][2 if pos else 3] |= bit
-        elif inner.kind == S.REL_BOX:
-            on, off = role_req.setdefault(("box", inner.index),
-                                          ([0] * n_obj, [0] * n_obj))
-            row = elems_o.index(inner.left)
-            (on if pos else off)[row] |= 1 << elems_f.index(inner.right)
-        elif inner.kind == S.REL_DIA:
-            on, off = role_req.setdefault(("dia", inner.index),
-                                          ([0] * n_feat, [0] * n_feat))
-            row = elems_f.index(inner.left)
-            (on if pos else off)[row] |= 1 << elems_o.index(inner.right)
-
+        if inner.kind in S.RELATIONAL_KINDS:
+            key = (inner.kind, inner.index, place[inner.left])
+            bit = place[inner.right]
+        elif inner.concept.kind == S.ATOM:
+            key = (inner.concept.name, inner.kind == S.MEM_FEAT)
+            bit = place[inner.ind]
+        else:
+            continue
+        req.setdefault(key, [0, 0])[t.kind == S.NEG] |= 1 << bit
     # direct contradictions are independent of the incidence choice
-    for name in atoms:
-        ep, em, ip, im = atom_req[name]
-        if ep & em or ip & im:
-            return None
-    for on, off in role_req.values():
-        if any(a & b for a, b in zip(on, off)):
-            return None
+    if any(on & off for on, off in req.values()):
+        return None
 
-    membership_terms = [t for t in translated
+    def fits(mask, key):
+        on, off = req.get(key, (0, 0))
+        return mask & on == on and mask & off == 0
+
+    i_rows = [req.get((S.REL_I, None, bi), (0, 0))
+              for bi in range(len(elems_o))]
+    free = [(bi, yi) for bi, (on, off) in enumerate(i_rows)
+            for yi in range(len(elems_f)) if not (on | off) >> yi & 1]
+
+    def element(ind):
+        return (elems_o if ind.sort == S.OBJ else elems_f)[place[ind]]
+
+    membership_terms = [S.map_assertion(t, element, lambda c: c)
+                        for t in assertions
                         if (t.inner if t.kind == S.NEG else t).kind
                         in (S.MEM_OBJ, S.MEM_FEAT)]
 
     for choice in range(1 << len(free)):
         spend()
-        pairs = set(forced_on)
-        for k, cell in enumerate(free):
-            if choice >> k & 1:
-                pairs.add(cell)
+        pairs = [(bi, yi) for bi, (on, _) in enumerate(i_rows)
+                 for yi in _bits(on)]
+        pairs += [cell for k, cell in enumerate(free) if choice >> k & 1]
         p = Polarity(elems_o, elems_f,
                      [(elems_o[bi], elems_f[yi]) for bi, yi in pairs])
         stable_pairs = [(e, p.up_mask(e)) for e in sorted(_stable_extents(p))]
 
-        atom_choices = []
-        for name in atoms:
-            ep, em, ip, im = atom_req[name]
-            ok = [pair for pair in stable_pairs
-                  if pair[0] & ep == ep and pair[0] & em == 0
-                  and pair[1] & ip == ip and pair[1] & im == 0]
-            atom_choices.append(ok)
+        atom_choices = [[pair for pair in stable_pairs
+                         if fits(pair[0], (name, False))
+                         and fits(pair[1], (name, True))]
+                        for name in atoms]
         if any(not ok for ok in atom_choices):
             continue
+
+        # each role's relations: the products of its rows' candidates
+        # that are I-compatible, in product order
+        objs, feats = _sides(p)
         stable_ints = sorted({i for _, i in stable_pairs})
         stable_exts = sorted({e for e, _ in stable_pairs})
-        row_domains = {}
-        feasible = True
-        for key in [("box", i) for i in box_idx] + [("dia", i) for i in dia_idx]:
-            kind, idx = key
-            n_rows = n_obj if kind == "box" else n_feat
-            domain = stable_ints if kind == "box" else stable_exts
-            on, off = role_req.get(key, ([0] * n_rows, [0] * n_rows))
-            rows = []
-            for r in range(n_rows):
-                cands = [s for s in domain
-                         if s & on[r] == on[r] and s & off[r] == 0]
-                if not cands:
-                    feasible = False
-                    break
-                rows.append(cands)
-            if not feasible:
+        role_choices = []
+        for kind, idx, left, right, domain in (
+                [(S.REL_BOX, i, objs, feats, stable_ints) for i in box_idx]
+                + [(S.REL_DIA, i, feats, objs, stable_exts) for i in dia_idx]):
+            row_cands = [[s for s in domain if fits(s, (kind, idx, r))]
+                         for r in range(len(left[0]))]
+            relations = []
+            for rows in product(*row_cands):
+                spend()
+                if _unstable_section(rows, left, right) is None:
+                    relations.append(list(rows))
+            role_choices.append(relations)
+            if not relations:
                 break
-            row_domains[key] = rows
-        if not feasible:
+        if not all(role_choices):
             continue
 
-        m = _roles_then_check(p, atoms, atom_choices, membership_terms,
-                              axioms, box_idx, dia_idx, row_domains, spend)
-        if m is not None:
-            return m
-    return None
-
-
-def _roles_then_check(p, atoms, atom_choices, membership_terms, axioms,
-                      box_idx, dia_idx, row_domains, spend):
-    def candidates(kind, indexes):
-        if not indexes:
-            yield {}
-            return
-        per_index = [list(product(*row_domains[(kind, i)])) for i in indexes]
-        for combo in product(*per_index):
-            yield {i: list(rows) for i, rows in zip(indexes, combo)}
-
-    # role facts are satisfied by construction of the row domains, so
-    # only I-compatibility (atom-independent), memberships and axioms
-    # remain
-    for box_rows in candidates("box", box_idx):
-        for dia_rows in candidates("dia", dia_idx):
+        # role facts and I-compatibility hold by construction of the role
+        # choices, so only memberships and axioms remain
+        for chosen in product(*role_choices):
             spend()
-            shell = Model(polarity=p, box_rows=box_rows, dia_rows=dia_rows)
-            if not check_i_compatibility(shell):
-                continue
+            box_rows = dict(zip(box_idx, chosen))
+            dia_rows = dict(zip(dia_idx, chosen[len(box_idx):]))
             for combo in product(*atom_choices):
                 spend()
                 m = Model(polarity=p, box_rows=box_rows, dia_rows=dia_rows,

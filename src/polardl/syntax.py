@@ -554,11 +554,6 @@ def occurring_concepts(assertions) -> frozenset:
                      if t.kind in (MEM_OBJ, MEM_FEAT)})
 
 
-def occurs_in(c: Concept, assertions) -> bool:
-    """True iff c occurs in the assertion set (as a membership subterm)."""
-    return c in occurring_concepts(assertions)
-
-
 def role_indices(assertions, concepts) -> tuple:
     """The sorted box and dia role indices of the relational assertions,
     negated ones included, and of the concepts."""

@@ -166,6 +166,31 @@ class TestICompatibility:
         assert not report
         assert "Rbox1" in report.violation
 
+    @staticmethod
+    def two_by_two():
+        # objects a, b and features x, y with only a I x: the stable
+        # extents are {}, {a}, {a, b} and the stable intents {}, {x}, {x, y}
+        a, b = P.named_obj("a"), P.named_obj("b")
+        x, y = P.named_feat("x"), P.named_feat("y")
+        return Polarity([a, b], [x, y], [(a, x)])
+
+    @pytest.mark.parametrize("box_rows, dia_rows, violation", [
+        ({1: [0b10, 0]}, {}, "Rbox1 row of a is not stable: ['y']"),
+        ({1: [0, 0b01]}, {}, "Rbox1 column of x is not stable: ['b']"),
+        ({}, {1: [0, 0b10]}, "Rdia1 row of y is not stable: ['b']"),
+        ({}, {2: [0, 0b01]}, "Rdia2 column of a is not stable: ['y']"),
+        # box roles before dia roles, each in index order, rows before
+        # columns within one relation
+        ({4: [0b10, 0], 2: [0, 0b01]}, {1: [0, 0b10]},
+         "Rbox2 column of x is not stable: ['b']"),
+    ])
+    def test_violation_messages(self, box_rows, dia_rows, violation):
+        m = P.Model(polarity=self.two_by_two(), box_rows=box_rows,
+                    dia_rows=dia_rows)
+        report = P.check_i_compatibility(m)
+        assert not report
+        assert report.violation == violation
+
     def test_empty_relations(self):
         p = small_context(2, 2, {(0, 0)})
         assert P.check_i_compatibility(P.Model(polarity=p))
@@ -285,6 +310,50 @@ class TestBoundedSearch:
             assert got is not None, sorted(map(str, abox))
             found += 1
         assert found >= 10
+
+    @staticmethod
+    def search_outcomes(seed, count, size, budget, n_box):
+        # one line per ABox: the model's export and both name maps, None,
+        # or "budget"; every third ABox with concepts adds the axiom
+        # "its first occurring concept by text sub its last"
+        rng = random.Random(seed)
+        lines = []
+        for k in range(count):
+            abox = fuzz.random_abox(rng, n_obj=2, n_feat=2, n_atoms=2,
+                                    n_box=n_box, n_dia=1, n_terms=4,
+                                    max_depth=1, neg_prob=0.3)
+            occurring = sorted(S.occurring_concepts(abox), key=str)
+            axioms = ([(occurring[0], occurring[-1])]
+                      if k % 3 == 0 and occurring else [])
+            try:
+                got = P.bounded_model_search(abox, size, size, budget=budget,
+                                             axioms=axioms)
+            except BudgetExceededError:
+                lines.append("budget")
+                continue
+            if got is None:
+                lines.append("None")
+                continue
+            m, o_map, f_map = got
+            lines.append(json.dumps(
+                [P.model_to_dict(m),
+                 sorted((str(b), str(e)) for b, e in o_map.items()),
+                 sorted((str(y), str(e)) for y, e in f_map.items())],
+                sort_keys=True))
+        return lines
+
+    @pytest.mark.parametrize("seed, count, size, budget, n_box, tally, digest", [
+        (7, 150, 2, 200_000, 1, (134, 16, 0), "38bf7832098251c7"),
+        (8, 60, 3, 20_000, 2, (54, 5, 1), "efbc1efe0c3de226"),
+    ])
+    def test_search_answers_are_pinned(self, seed, count, size, budget, n_box,
+                                       tally, digest):
+        # the first model found, the verdict and the budget verdict, for
+        # each ABox of a fixed slice
+        lines = self.search_outcomes(seed, count, size, budget, n_box)
+        assert (count - lines.count("None") - lines.count("budget"),
+                lines.count("None"), lines.count("budget")) == tally
+        assert dev_sequence_digest._digest(lines) == digest
 
 
 class TestFormalConcepts:

@@ -65,21 +65,21 @@ class TestSubconcepts:
 class TestOccurs:
     def test_in_membership(self):
         a = {P.member(P.named_obj("m4"), P.meet(P.join(GM, P.atom("FM")), C))}
-        assert P.occurs_in(P.join(GM, P.atom("FM")), a)
+        assert P.join(GM, P.atom("FM")) in P.occurring_concepts(a)
 
     def test_in_unraveled_movie_kb(self, movies_kb):
-        assert P.occurs_in(RM, P.unravel(movies_kb))
+        assert RM in P.occurring_concepts(P.unravel(movies_kb))
 
     def test_empty(self):
-        assert not P.occurs_in(D, set())
+        assert D not in P.occurring_concepts(set())
 
     def test_negated_membership_counts(self):
         a = {P.neg(P.member(P.named_obj("b"), P.meet(D, E)))}
-        assert P.occurs_in(D, a)
+        assert D in P.occurring_concepts(a)
 
     def test_relational_terms_do_not_count(self):
         a = {P.rel_i(P.named_obj("b"), P.named_feat("y"))}
-        assert not P.occurs_in(D, a)
+        assert D not in P.occurring_concepts(a)
 
 
 class TestRoleIndices:
