@@ -18,7 +18,8 @@ its arity, argument kinds, modifiers, engine call and query record, and
 skips argparse when `_plain_line` reads it: bare or single-quoted words
 apart by spaces, every flag spelled in full, no argument starting with
 "-".  Any other line goes through `shlex.split` and argparse, which stays
-the only source of usage errors.
+the only source of usage errors.  A batch builds its line parser and
+its readers once, and each reader memoises the texts it reads.
 
 The program (`python -m polardl.cli`, the `polardl` script) is `program`:
 it runs `main` with the cyclic garbage collector off and freezes every
@@ -45,7 +46,6 @@ from .parser import (parse_concept, parse_individual, parse_kb, parse_term,
                      KnowledgeBase)
 from .queries import QueryEngine, _steps_payload
 from .model import build_model, model_to_csv, model_to_dict
-from .syntax import Role
 from . import syntax as S
 
 
@@ -64,8 +64,8 @@ class _Flag(NamedTuple):
 def _record(args, spec: str, *values) -> dict:
     """The query record: `spec` holds its type, then a key per value."""
     kind, *keys = spec.split()
-    return {"type": "negative-" + kind if args.neg else kind,
-            **{key: str(value) for key, value in zip(keys, values)}}
+    return dict(zip(keys, map(str, values)),
+                type="negative-" + kind if args.neg else kind)
 
 
 _FLAGS = (  # in usage order
@@ -111,7 +111,7 @@ _FLAGS = (  # in usage order
           lambda a, *v: _record(a, "relation-separation lhs rhs pivot", *v)),
     _Flag("dif", 2, ("FIRST", "SECOND"), "ii", ("role",),
           lambda e, a, x, y: e.ask_differentiation(
-              x, y, Role.parse(a.role or "I")),
+              x, y, S.Role.parse(a.role or "I")),
           lambda a, x, y: _record(a, "differentiation first second role",
                                   x, y, a.role or "I")),
     _Flag("identity", 2, ("FIRST", "SECOND"), "ii", (),
@@ -146,16 +146,23 @@ def _query_flags(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     return p
 
 
+def _query(given: dict) -> _Flag | None:
+    """The row of the query flag in a parsed line's or argv's `vars`."""
+    for q in _QUERIES:
+        if given[q.dest] is not None:
+            return q
+
+
 def _check_query(args, error):
     """Reject, through the parser's `error`, a modifier on a query it does
     not change, and a query flag or modifier beside --batch."""
-    query = next((q.dest for q in _QUERIES
-                  if getattr(args, q.dest) is not None), None)
-    given = [m for m in _MODIFIERS if getattr(args, m) not in (None, False)]
-    if getattr(args, "batch", None) is not None and (query or given):
-        error(f"{_flag(query or given[0])} is not allowed with --batch; "
+    given = vars(args)
+    query = getattr(_query(given), "dest", None)
+    modifiers = [m for m in _MODIFIERS if given[m] not in (None, False)]
+    if given.get("batch") is not None and (query or modifiers):
+        error(f"{_flag(query or modifiers[0])} is not allowed with --batch; "
               "put it on the batch lines")
-    for m in given:
+    for m in modifiers:
         if query not in _MODIFIERS[m]:
             error(f"{_flag(m)} applies only to "
                   + ", ".join(map(_flag, _MODIFIERS[m])))
@@ -173,7 +180,9 @@ class _LineParser(argparse.ArgumentParser):
 _WORD = r"""([^ '"\\\t\r\n]+)|'([^']*)'"""
 _PLAIN = re.compile(f"(?:{_WORD})(?: +(?:{_WORD}))*")
 _WORDS = re.compile(_WORD)
-_BY_FLAG = {_flag(f.dest): f for f in _FLAGS}
+_BY_FLAG = {_flag(f.dest): (f, 1 if f.nargs in (None, "append") else f.nargs)
+            for f in _FLAGS}  # a flag's row and the count of its words
+_DEFAULTS = {f.dest: False if f.nargs == 0 else None for f in _FLAGS}
 
 
 def _plain_line(line: str):
@@ -183,11 +192,10 @@ def _plain_line(line: str):
     if not _PLAIN.fullmatch(line):
         return None
     words = [word or quoted for word, quoted in _WORDS.findall(line)]
-    args = {f.dest: False if f.nargs == 0 else None for f in _FLAGS}
-    query, i = None, 0
+    namespace, query, i = argparse.Namespace(), None, 0
+    args = namespace.__dict__ = _DEFAULTS.copy()
     while i < len(words):
-        f = _BY_FLAG.get(words[i])
-        count = 1 if f is None or f.nargs in (None, "append") else f.nargs
+        f, count = _BY_FLAG.get(words[i], (None, 0))
         values = words[i + 1:i + 1 + count]
         if f is None or len(values) < count or (f.ask and query not in (
                 None, f.dest)) or any(v.startswith("-") for v in values):
@@ -198,7 +206,7 @@ def _plain_line(line: str):
                         else (args[f.dest] or []) + values
                         if f.nargs == "append" else values)
         i += 1 + count
-    return argparse.Namespace(**args)
+    return namespace
 
 
 class _ArgvParser(argparse.ArgumentParser):
@@ -244,6 +252,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 # --equiv file); ValueError, a role name or term the input cannot form;
 # RecursionError, input nested deeper than the recursive parser reaches
 _INPUT_ERRORS = (PolardlError, OSError, ValueError, RecursionError)
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # a record on one line
 
 
 def _load(path: str) -> KnowledgeBase:
@@ -263,13 +272,10 @@ def _error_payload(exc) -> dict:
 def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     comp = engine.completion
     status = "consistent" if comp.is_consistent else "inconsistent"
-    payload = {
-        "command": "check",
-        "status": status,
-        "input_assertions": len(comp.input_assertions),
-        "completion_size": len(comp.assertions),
-        "rule_applications": dict(sorted(comp.stats.items())),
-    }
+    payload = {"command": "check", "status": status, "clash": None,
+               "input_assertions": len(comp.input_assertions),
+               "completion_size": len(comp.assertions),
+               "rule_applications": dict(sorted(comp.stats.items()))}
     lines = [status,
              f"input assertions: {payload['input_assertions']}",
              f"completion size: {payload['completion_size']}"]
@@ -280,8 +286,6 @@ def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
                             "steps": steps}
         lines.append(f"clash: {term} vs {negation}")
         lines.extend(_steps_lines(steps))
-    else:
-        payload["clash"] = None
     if args.trace:
         payload["trace"] = _steps_payload(comp.steps())
     if args.format == "json":
@@ -291,22 +295,27 @@ def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     return 0 if comp.is_consistent else 1
 
 
+def _readers(kb: KnowledgeBase) -> dict:
+    """The reader of each letter of `_Flag.kinds`, memoised by text."""
+    return {"i": cache(lambda text: parse_individual(text, kb)),
+            "r": cache(S.Role.parse),
+            "c": cache(lambda text: parse_concept(text, kb)),
+            "t": cache(lambda text: parse_term(text, kb)), "f": str}
+
+
 def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine,
-                   concept=None) -> dict:
-    read = {"i": lambda text: parse_individual(text, kb), "r": Role.parse,
-            "c": concept or (lambda text: parse_concept(text, kb)),
-            "t": lambda text: parse_term(text, kb), "f": str}
-    q = next((q for q in _QUERIES if getattr(args, q.dest) is not None),
-             None)
+                   read=None) -> dict:
+    given = vars(args)
+    q = _query(given)
     if q is None:
         raise PolardlError("no query flag given")
-    given = getattr(args, q.dest)
-    texts = [given] if q.nargs is None else given
+    read = read or _readers(kb)
+    texts = [given[q.dest]] if q.nargs is None else given[q.dest]
     values = [read[kind](text) for kind, text in zip(cycle(q.kinds), texts)]
     ans = q.ask(engine, args, *values)
     payload = {"command": "ask", "query": q.record(args, *values),
                "answer": ans.value}
-    if args.trace and ans.certificate is not None:
+    if given["trace"] and ans.certificate is not None:
         payload["certificate"] = ans.certificate
     return payload
 
@@ -314,8 +323,8 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine,
 def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     if args.batch:
         # a bad line gets an error record, the batch goes on, exit code 2;
-        # each concept text is parsed once, if it parses
-        concept = cache(lambda text: parse_concept(text, kb))
+        # each name, role, concept or term text is read once, if it reads
+        read = _readers(kb)
         ap = _query_flags(_LineParser)
         with open(args.batch, "r", encoding="utf-8") as fh:
             lines = [ln for ln in map(str.strip, fh)
@@ -326,25 +335,25 @@ def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
                 sub = _plain_line(line) or ap.parse_args(shlex.split(line))
                 _check_query(sub, ap.error)
                 sub.trace = sub.trace or args.trace
-                payload = _run_ask_query(sub, kb, engine, concept)
+                payload = _run_ask_query(sub, kb, engine, read)
             except (*_INPUT_ERRORS, argparse.ArgumentError) as exc:
                 failed = True
                 payload = _error_payload(exc)
                 print(f"error: {line}: {exc}", file=sys.stderr)
-            print(json.dumps(payload, sort_keys=True))
+            print(_ENCODE(payload))
         return 2 if failed else 0
     payload = _run_ask_query(args, kb, engine)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(json.dumps(payload["answer"], sort_keys=True))
+        print(_ENCODE(payload["answer"]))
         if args.trace and "certificate" in payload:
             cert = payload["certificate"]
             if cert.get("kind") == "clash":
                 print("\n".join(["clash derivation:",
                                  *_steps_lines(cert["steps"])]))
             else:
-                print(json.dumps(cert, sort_keys=True))
+                print(_ENCODE(cert))
     return 0
 
 
@@ -360,7 +369,7 @@ def _cmd_model(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
 
 def _cmd_trace(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     for step in _steps_payload(engine.completion.steps()):
-        print(json.dumps(step, sort_keys=True))
+        print(_ENCODE(step))
     return 0
 
 
@@ -374,14 +383,14 @@ def main(argv=None) -> int:
         only_format = _LineParser(add_help=False)
         only_format.add_argument("--format", nargs="?")
         if only_format.parse_known_args(argv)[0].format == "json":
-            print(json.dumps(_error_payload(exc), sort_keys=True))
+            print(_ENCODE(_error_payload(exc)))
         return 2
     try:
         kb = _load(args.kb)
         return args.run(args, kb, QueryEngine(kb, max_steps=args.max_steps))
     except _INPUT_ERRORS as exc:
         if getattr(args, "format", "text") == "json":
-            print(json.dumps(_error_payload(exc), sort_keys=True))
+            print(_ENCODE(_error_payload(exc)))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

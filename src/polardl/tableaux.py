@@ -414,8 +414,11 @@ class Completion:
                 rows.setdefault(key, {})[c.index, x] = a
 
     def _rows(self, key) -> tuple:
-        """The base's row at a key, then this run's own."""
-        return self.base_rows.get(key, _NO_ROW), self.rows.get(key, _NO_ROW)
+        """The base's row at a key, then this run's own.  A run from
+        scratch has no base rows: it skips hashing the key for them."""
+        based = self.base_rows
+        return (based.get(key, _NO_ROW) if based else _NO_ROW,
+                self.rows.get(key, _NO_ROW))
 
     def _fact(self, key, partner):
         """The fact indexed under the key with the partner, or None."""

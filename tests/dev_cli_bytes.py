@@ -14,10 +14,12 @@ checkout shows in the output: the lines of two checkouts compare with
 `diff`.  The list covers `check`, `trace` and `model` in every format on
 both fixtures; every `ask` query kind in text and json, with and without
 --trace, with the --neg forms and the error cases; --batch files of good
-and bad lines; usage errors in both formats; and `check` on a chain of
-990 definitions under a step budget.  stderr reports the number of
-lines.  `tests/test_cli.py` pins the sha256 of this output; a change
-that means to change the CLI's bytes updates that constant.
+and bad lines, and one whose lines repeat names, concepts, terms and a
+bad line, with one line that only argparse reads; usage errors in both
+formats; and `check` on a chain of 990 definitions under a step budget.
+stderr reports the number of lines.  `tests/test_cli.py` pins the
+sha256 of this output; a change that means to change the CLI's bytes
+updates that constant.
 """
 
 import contextlib
@@ -90,6 +92,16 @@ BAD_LINES = [
     "--rel m3 I f4 --rel m1 I f3", "-h", "--dif m2 m4 --format text",
     "--list-members 'box1 (DM'", "--identity m1",
 ]
+# what a batch reads once, read again: names, concepts, terms, a bad
+# concept on two lines, and a double-quoted line that argparse reads
+REPEATS = [
+    "--member m1 GM", "--list-related m3 I", "--member m1 'GM and FM'",
+    "--disj 'm2 : GM' --disj 'm3 : RDM'", "--member m1 'GM and'",
+    "--rel m1 I f3", "--member m3 GM", "--neg --member m1 GM",
+    "--disj 'm3 : RDM'", "--member m1 'GM and'", '--member m1 "GM and FM"',
+    "--subsume GM 'GM and FM'", "--list-related m3 I --side right",
+    "--dif m1 m3 --role Rbox1", "--sep I m3 m1", "--dif m1 m3",
+]
 
 
 def invocations():
@@ -111,6 +123,8 @@ def invocations():
             for extra in ([], ["--trace"]):
                 yield ["ask", "movies.kb", "--batch", batch, "--format", fmt,
                        *extra]
+    for fmt in ("text", "json"):
+        yield ["ask", "movies.kb", "--batch", "repeats.txt", "--format", fmt]
     yield ["ask", "clash.kb", "--batch", "good.txt"]
     yield ["ask", "movies.kb", "--batch", "good.txt", "--neg"]
     yield ["ask", "movies.kb", "--batch", "good.txt", "--dif", "m2", "m4"]
@@ -162,6 +176,8 @@ def lines():
             "\n".join(line for pair in zip(GOOD_LINES, BAD_LINES)
                       for line in pair)
             + "\n", encoding="utf-8")
+        pathlib.Path(tmp, "repeats.txt").write_text(
+            "\n".join(REPEATS) + "\n", encoding="utf-8")
         pathlib.Path(tmp, "equiv.txt").write_text("--equiv ''\n",
                                                   encoding="utf-8")
         pathlib.Path(tmp, "chain.kb").write_text(

@@ -387,6 +387,41 @@ class TestAsk:
         assert docs[2]["answer"] is True
         assert bad in err
 
+    def test_batch_reads_each_text_once(self, tmp_path, monkeypatch):
+        # a batch memoises what it reads by text; a text that fails to
+        # read is read again on every line that holds it
+        reads = {}
+        for name in ("parse_individual", "parse_concept", "parse_term"):
+            def counted(text, kb, read=getattr(cli, name), name=name):
+                reads.setdefault(name, []).append(text)
+                return read(text, kb)
+            monkeypatch.setattr(cli, name, counted)
+        batch = tmp_path / "queries.txt"
+        batch.write_text("--member m1 GM\n"
+                         "--member m1 'GM and FM'\n"
+                         "--disj 'm2 : GM' --disj 'm3 : RDM'\n"
+                         "--rel zz I f3\n"
+                         "--member m2 'GM and'\n"
+                         "--member m2 GM\n"
+                         "--disj 'm3 : RDM'\n"
+                         "--rel m1 I f3\n"
+                         "--member m1 'GM and'\n"
+                         "--rel zz I f3\n"
+                         "--member m1 'GM and FM'\n")
+        code, out, err = run_cli("ask", MOVIES, "--batch", str(batch))
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d.get("answer") for d in docs] == [
+            False, False, True, None, None, False, True, True, None, None,
+            False]
+        assert docs[3] == docs[9] and docs[3]["error"]["type"] == "ParseError"
+        assert docs[4] == docs[8] and docs[4]["error"]["type"] == "ParseError"
+        assert len(err.splitlines()) == 4
+        assert {name: sorted(texts) for name, texts in reads.items()} == {
+            "parse_individual": ["f3", "m1", "m2", "zz", "zz"],
+            "parse_concept": ["GM", "GM and", "GM and", "GM and FM"],
+            "parse_term": ["m2 : GM", "m3 : RDM"]}
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_batch_goes_on_after_an_unreadable_equiv_file(self, tmp_path,
                                                           fmt):
@@ -515,10 +550,10 @@ class TestDeterminism:
         # invocation's stdout and stderr digests and exit code
         import dev_cli_bytes
         lines = list(dev_cli_bytes.lines())
-        assert len(lines) == 369
+        assert len(lines) == 371
         assert hashlib.sha256("".join(
             line + "\n" for line in lines).encode()).hexdigest() == \
-            "60fe52f1f627b70fb9ebb2d488c0e3be4f30c16c90d2e4421bf182df88016632"
+            "cefcd94a1dcab342da18fa79dbe5b2a4e1cb92ef8f623882af84e9a1fada9f6d"
 
 
 # -- random KB text: the CLI never lets an exception escape -------------------
