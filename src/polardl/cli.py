@@ -249,7 +249,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 
 # what bad input raises: OSError, a file that cannot be read (a KB or an
-# --equiv file); ValueError, a role name or term the input cannot form;
+# --equiv file); ValueError, a term of the wrong sorts or a bad quote;
 # RecursionError, input nested deeper than the recursive parser reaches
 _INPUT_ERRORS = (PolardlError, OSError, ValueError, RecursionError)
 _ENCODE = json.JSONEncoder(sort_keys=True).encode  # a record on one line

@@ -131,7 +131,8 @@ class _Parser:
     def name(self) -> _Tok:
         t = self.next()
         if t.kind != "NAME" or t.text in KEYWORDS:
-            self.fail(t, f"expected individual name, found {t.text!r}")
+            self.fail(t, "expected individual name, found "
+                         f"{t.text or 'end of input'!r}")
         return t
 
     def fail(self, tok: _Tok, msg: str):
@@ -265,6 +266,12 @@ class _Parser:
         return S.named_feat(t.text)
 
     def assertion(self):
+        term = self.term()
+        self.expect_sym(".")
+        self.abox.add(term)
+
+    def term(self) -> S.Assertion:
+        """An assertion without its final '.'."""
         negated = self.peek().text == "not"
         if negated:
             self.next()
@@ -285,8 +292,7 @@ class _Parser:
             self.check_role(kind, sep.mod[1], sep)
             term = (S.rel_box if box else S.rel_dia)(
                 sep.mod[1], left, self.individual(S.FEAT if box else S.OBJ))
-        self.expect_sym(".")
-        self.abox.add(S.neg(term) if negated else term)
+        return S.neg(term) if negated else term
 
 
 def _separator(t: _Tok) -> str | None:
@@ -322,13 +328,16 @@ def parse_concept(text: str, kb: KnowledgeBase) -> S.Concept:
 
 
 def parse_term(text: str, kb: KnowledgeBase) -> S.Assertion:
-    """Parse a standalone (possibly negated) ABox term for a KB."""
-    p = _context_parser(text + " .", kb)
-    p.assertion()
+    """Parse a standalone (possibly negated) ABox term for a KB; its final
+    '.' may be left out."""
+    p = _context_parser(text, kb)
+    term = p.term()
+    if p.peek().text == ".":
+        p.next()
     t = p.peek()
     if t.kind != "EOF":
         p.fail(t, f"trailing input after term: {t.text!r}")
-    return next(iter(p.abox))
+    return term
 
 
 def parse_individual(name: str, kb: KnowledgeBase) -> S.Individual:

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+from .errors import ParseError
+
 # ---------------------------------------------------------------------------
 # Concepts
 # ---------------------------------------------------------------------------
@@ -368,12 +370,16 @@ class Role:
 
     @classmethod
     def parse(cls, text: str) -> "Role":
+        """The role a name spells: I, Rbox<i> or Rdia<i>, i >= 1 in ASCII
+        digits; anything else raises ParseError."""
         if text == "I":
             return cls("I")
         for prefix, kind in (("Rbox", "box"), ("Rdia", "dia")):
-            if text.startswith(prefix) and text[len(prefix):].isdigit():
-                return cls(kind, int(text[len(prefix):]))
-        raise ValueError(f"not a role name: {text!r}")
+            digits = text.removeprefix(prefix)
+            if (digits != text and digits.isascii() and digits.isdigit()
+                    and int(digits) >= 1):
+                return cls(kind, int(digits))
+        raise ParseError(f"not a role name: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +395,15 @@ NEG = "neg"
 
 RELATIONAL_KINDS = (REL_I, REL_BOX, REL_DIA)
 
-_terms: dict = {}
+# Each table is nested part by part, its outer key the first individual
+# (the inner fact for a negation), so no key tuple is kept per term.
+# setdefault at each level keeps the first of racing builds; an empty
+# inner table reads as missing, and setdefault then returns it.
+_rel_i: dict = {}     # b -> {y: b I y}
+_rel_box: dict = {}   # b -> {i: {y: b Rboxi y}}
+_rel_dia: dict = {}   # y -> {i: {b: y Rdiai b}}
+_members: dict = {}   # b -> {C: b : C};  y -> {C: y :: C}
+_negs: dict = {}      # a -> not (a)
 
 
 class Assertion:
@@ -447,29 +461,33 @@ class Assertion:
 def rel_i(b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError(f"incidence terms relate an object to a feature: {b} I {y}")
-    return _terms.get(key := (REL_I, b, y)) or _terms.setdefault(
-        key, Assertion(REL_I, left=b, right=y))
+    row = _rel_i.get(b) or _rel_i.setdefault(b, {})
+    return row.get(y) or row.setdefault(y, Assertion(REL_I, left=b, right=y))
 
 
 def rel_box(index: int, b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
         raise ValueError("box-role terms relate an object to a feature")
-    return _terms.get(key := (REL_BOX, index, b, y)) or _terms.setdefault(
-        key, Assertion(REL_BOX, left=b, right=y, index=index))
+    row = _rel_box.get(b) or _rel_box.setdefault(b, {})
+    row = row.get(index) or row.setdefault(index, {})
+    return row.get(y) or row.setdefault(
+        y, Assertion(REL_BOX, left=b, right=y, index=index))
 
 
 def rel_dia(index: int, y: Individual, b: Individual) -> Assertion:
     if y.sort != FEAT or b.sort != OBJ:
         raise ValueError("dia-role terms relate a feature to an object")
-    return _terms.get(key := (REL_DIA, index, y, b)) or _terms.setdefault(
-        key, Assertion(REL_DIA, left=y, right=b, index=index))
+    row = _rel_dia.get(y) or _rel_dia.setdefault(y, {})
+    row = row.get(index) or row.setdefault(index, {})
+    return row.get(b) or row.setdefault(
+        b, Assertion(REL_DIA, left=y, right=b, index=index))
 
 
 def member(ind: Individual, c: Concept) -> Assertion:
     """b : C for objects, y :: C for features."""
-    kind = MEM_OBJ if ind.sort == OBJ else MEM_FEAT
-    return _terms.get(key := (kind, ind, c)) or _terms.setdefault(
-        key, Assertion(kind, ind=ind, concept=c))
+    row = _members.get(ind) or _members.setdefault(ind, {})
+    return row.get(c) or row.setdefault(c, Assertion(
+        MEM_OBJ if ind.sort == OBJ else MEM_FEAT, ind=ind, concept=c))
 
 
 def creation_terms(c: Concept) -> tuple:
@@ -480,8 +498,7 @@ def creation_terms(c: Concept) -> tuple:
 def neg(a: Assertion) -> Assertion:
     if a.kind == NEG:
         raise ValueError("negation applies only to positive terms")
-    return _terms.get(key := (NEG, a)) or _terms.setdefault(
-        key, Assertion(NEG, inner=a))
+    return _negs.get(a) or _negs.setdefault(a, Assertion(NEG, inner=a))
 
 
 def rel(role: Role, left: Individual, right: Individual) -> Assertion:

@@ -76,12 +76,16 @@ fired, rules are monotone and side conditions only grow, so the verdict
 and a consistent fixpoint equal a run from scratch; a clashing run may
 stop at another partial set.
 
-Saturation indexes every positive fact by key, key -> {partner: fact},
-and each occurring meet (join) under each operand:
+Facts are numbered in completion order, the base's first.  A run logs
+each fact it adds with its rule label and premise numbers, which every
+rule takes from the fact it fires and the row entries it reads, and
+``provenance`` decodes (rule, premise facts) when read.  Every positive
+fact is indexed by key, key -> {partner: fact number}, and each
+occurring meet (join) under each operand:
 
-    b Rboxi y:  (rbox, i, b) -> {y: fact},  (rbox, i, y) -> {b: fact}
-    b : C:      (mobj, None, b) -> {C: fact},  (mobj, None, C) -> {b: fact}
-    b : boxi C: also (mobj, box, C) -> {(i, b): fact}
+    b Rboxi y:  (rbox, i, b) -> {y: n},  (rbox, i, y) -> {b: n}
+    b : C:      (mobj, None, b) -> {C: n},  (mobj, None, C) -> {b: n}
+    b : boxi C: also (mobj, box, C) -> {(i, b): n}
     C1 and C2:  (meet, None, C1) -> {C1 and C2: C2},  and under C2
 
 and likewise for I and dia-role facts, for feature memberships (mfeat,
@@ -96,9 +100,11 @@ read their second premise there.
 from __future__ import annotations
 
 import random
-from collections import ChainMap, Counter, deque
+from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (ResourceLimitError, UnknownIndividualError,
                      UnsupportedRuleError)
@@ -225,6 +231,43 @@ BASE_RULES = ()
 # ---------------------------------------------------------------------------
 
 _NO_ROW: dict = {}   # the row of a key nothing is indexed under; never written
+_PAD = ((-1, -1), (-1,), ())   # pads premise numbers to two; -1 is none
+
+
+class Provenance(Mapping):
+    """A run's provenance, read-only: fact -> (rule label, premise facts),
+    in completion order, the base's facts first.  It decodes an entry
+    from the run's log when read.  It holds the run's numbers and log and
+    its base's view, never the run, so a finished run is freed by
+    reference counting alone."""
+
+    def __init__(self, numbers: dict, log: list, base: Provenance | None):
+        self.numbers, self.log, self.base = numbers, log, base
+        self.start = len(base) if base else 0   # the first fact's number
+
+    def step(self, n: int) -> list:
+        """The fact numbered n, its rule label and its two premise
+        numbers (-1 for none)."""
+        if n < self.start:
+            return self.base.step(n)
+        k = 4 * (n - self.start)
+        return self.log[k:k + 4]
+
+    def rules(self):
+        """The rule label of each fact, in completion order."""
+        return chain(self.base.rules() if self.base else (), self.log[1::4])
+
+    def __getitem__(self, a: S.Assertion) -> tuple:
+        if a not in self.numbers and self.base:
+            return self.base[a]
+        _, rule, p, q = self.step(self.numbers[a])   # KeyError if absent
+        return rule, tuple(self.step(m)[0] for m in (p, q) if m >= 0)
+
+    def __iter__(self):
+        return chain(self.base or (), self.numbers)
+
+    def __len__(self) -> int:
+        return self.start + len(self.numbers)
 
 
 class Completion:
@@ -242,15 +285,18 @@ class Completion:
         self.occurring = occurring       # concepts occurring in the input
         self.individuals = individuals   # of the input assertions
 
-        # assertion -> (rule label, premises): the facts this run added,
-        # its base's, and both in completion order (a ChainMap once resumed)
-        self.own, self.inherited, self.base = {}, {}, base
-        self.provenance = self.own
-        self.rows, self.base_rows = {}, {}  # key -> {partner: fact}
+        # fact -> number: the facts this run adds, numbered from start,
+        # and its base's; the log holds per own fact the fact, its rule
+        # label and two premise numbers (-1 for none)
+        self.own, self.inherited, self.log = {}, {}, []
+        self.provenance = Provenance(self.own, self.log,
+                                     base.provenance if base else None)
+        self.start = self.provenance.start
+        self.rows, self.base_rows = {}, {}  # key -> {partner: number}
         self.neg_relational: dict = {}   # relational terms under a negation
         self.clash = None            # (positive term, its negation)
         self.fired = 0               # facts fired
-        self.worklist = deque()
+        self.worklist = deque()      # numbers of facts to fire
 
         self.extra_rules: dict = {}  # trigger key -> [(conclude, label)]
         for extra in rules:
@@ -271,7 +317,7 @@ class Completion:
                               max((d.dia_depth for d in depths), default=0))
 
     def __contains__(self, a: S.Assertion) -> bool:
-        return a in self.provenance
+        return a in self.own or a in self.inherited
 
     @cached_property
     def assertions(self) -> tuple:
@@ -280,7 +326,7 @@ class Completion:
     @cached_property
     def stats(self) -> Counter:
         """Rule label -> the facts it added, labels in order of first use."""
-        return Counter(rule for rule, _ in self.provenance.values())
+        return Counter(self.provenance.rules())
 
     def positives(self):
         return [a for a in self.provenance if a.kind != S.NEG]
@@ -311,16 +357,17 @@ class Completion:
 
     def facts_at(self, key) -> list:
         """The facts indexed under the given key, in completion order."""
-        based, own = self._rows(key)
-        return [*based.values(), *own.values()]
+        return [self.provenance.step(n)[0] for row in self._rows(key)
+                for n in row.values()]
 
     def related(self, role: Role, anchor: S.Individual, side: str):
-        """Individuals n with the (anchor, n) fact (side 'right') or the
-        (n, anchor) fact (side 'left') for the given role."""
-        facts = self.facts_at((role.fact_kind, role.index, anchor))
-        if side == "right":
-            return [a.right for a in facts if a.left is anchor]
-        return [a.left for a in facts if a.right is anchor]
+        """Individuals x with the (anchor, x) fact (side 'right') or the
+        (x, anchor) fact (side 'left') for the given role: the partners
+        in the anchor's row when the anchor's sort is that side's."""
+        left = S.FEAT if role.kind == "dia" else S.OBJ
+        if (anchor.sort == left) != (side == "right"):
+            return []
+        return [*chain(*self._rows((role.fact_kind, role.index, anchor)))]
 
     def steps(self):
         """Full derivation trace: (rule, premises, conclusion) per added
@@ -329,38 +376,27 @@ class Completion:
                 for a, (rule, premises) in self.provenance.items()
                 if rule != "input"]
 
-    @cached_property
-    def _positions(self) -> dict:
-        """Assertion -> its place in completion order."""
-        return {a: i for i, a in enumerate(self.provenance)}
-
     def clash_certificate(self):
         """Derivation steps leading to the clash pair: the chain that
         derives the positive term first, then the chain producing its
         negation; empty when consistent."""
         if self.clash is None:
             return []
-        own, inherited, start = self.own, self.inherited, len(self.inherited)
-        based = self.base._positions if start else {}
-        places = {a: start + i for i, a in enumerate(own)}
-        found = {}   # ancestor -> (rule, premises), own layer read first
-
-        def derived(root):
-            """Derived ancestors of root not found before, in fact order."""
-            queue, new = [root], []
+        view, steps = self.provenance, []
+        found = {-1}   # -1 pads a missing premise: never walked
+        for root in self.clash:
+            # derived ancestors of root not found before, in fact order
+            queue, new = [self.own.get(root, self.inherited.get(root))], []
             while queue:
-                a = queue.pop()
-                if a not in found:
-                    found[a] = entry = own.get(a) or inherited[a]
-                    queue.extend(entry[1])
-                    if entry[0] != "input":
-                        new.append(a)
-            return sorted(new, key=lambda a: places[a] if a in places
-                          else based[a])
-
-        term, negation = self.clash
-        steps = derived(term) + derived(negation)
-        return [(*found[a], a) for a in steps]
+                n = queue.pop()
+                if n not in found:
+                    found.add(n)
+                    _, rule, p, q = view.step(n)
+                    queue += p, q
+                    if rule != "input":
+                        new.append(n)
+            steps += sorted(new)
+        return [(*view[a], a) for a in (view.step(n)[0] for n in steps)]
 
     # -- saturation ----------------------------------------------------------
 
@@ -380,8 +416,6 @@ class Completion:
                 for k, row in self.rows.items()}}
         else:
             run.inherited, run.base_rows = self.own, self.rows
-        if run.inherited:
-            run.provenance = ChainMap(run.own, run.inherited)
         run.neg_relational = dict(self.neg_relational)
         run.fired = self.fired
         return run
@@ -389,10 +423,16 @@ class Completion:
     # -- fact store ----------------------------------------------------------
 
     def add(self, a: S.Assertion, rule: str, premises: tuple):
-        if a in self.own or a in self.inherited or self.clash is not None:
+        """Add a, derived by rule from the facts numbered premises."""
+        own = self.own
+        if a in own or a in self.inherited or self.clash is not None:
             return
-        self.own[a] = (rule, premises)
-        self.worklist.append(a)
+        n = own[a] = self.start + len(own)
+        log = self.log
+        log.append(a)
+        log.append(rule)
+        log += premises + _PAD[len(premises)]
+        self.worklist.append(n)
         rows = self.rows
         if a.kind == S.NEG:
             if a.inner.is_relational:
@@ -403,15 +443,15 @@ class Completion:
             hit = self.neg_relational.get(a)
             if hit is not None:
                 self.clash = (a, hit)
-            rows.setdefault((a.kind, a.index, a.left), {})[a.right] = a
-            rows.setdefault((a.kind, a.index, a.right), {})[a.left] = a
+            rows.setdefault((a.kind, a.index, a.left), {})[a.right] = n
+            rows.setdefault((a.kind, a.index, a.right), {})[a.left] = n
         else:
             x, c = a.ind, a.concept
-            rows.setdefault((a.kind, None, x), {})[c] = a
-            rows.setdefault((a.kind, None, c), {})[x] = a
+            rows.setdefault((a.kind, None, x), {})[c] = n
+            rows.setdefault((a.kind, None, c), {})[x] = n
             if c.kind == (S.BOX if a.kind == S.MEM_OBJ else S.DIA):
                 key = (a.kind, c.kind, c.child)
-                rows.setdefault(key, {})[c.index, x] = a
+                rows.setdefault(key, {})[c.index, x] = n
 
     def _rows(self, key) -> tuple:
         """The base's row at a key, then this run's own.  A run from
@@ -421,126 +461,92 @@ class Completion:
                 self.rows.get(key, _NO_ROW))
 
     def _fact(self, key, partner):
-        """The fact indexed under the key with the partner, or None."""
+        """The number of the fact under the key with the partner, or None."""
         based, own = self._rows(key)
-        return own.get(partner) or based.get(partner)
+        n = own.get(partner)
+        return based.get(partner) if n is None else n
 
     # -- rule dispatch -------------------------------------------------------
 
-    def fire(self, a: S.Assertion):
-        if a.kind == S.MEM_OBJ:
-            self.fire_obj_membership(a)
-        elif a.kind == S.MEM_FEAT:
-            self.fire_feat_membership(a)
-        elif a.kind == S.REL_I:
-            self.fire_incidence(a)
-        elif a.kind == S.REL_BOX:
-            self.fire_box_fact(a)
-        elif a.kind == S.REL_DIA:
-            self.fire_dia_fact(a)
-        else:
-            self.fire_negative(a)
-            return
-        if self.extra_rules:
-            self.fire_extras(a)
-
-    def fire_obj_membership(self, a):
-        b, c = a.ind, a.concept
-        if c.kind == S.MEET:
-            self.add(S.member(b, c.left), "and_A", (a,))
-            self.add(S.member(b, c.right), "and_A", (a,))
-        for row in self._rows((S.MEET, None, c)):
-            for m, other in row.items():
-                if p := self._fact((S.MEM_OBJ, None, b), other):
-                    self.add(S.member(b, m), "and_inv", (a, p))
+    def fire_membership(self, a, n):
+        """The rules of b : C, and their mirror images on y :: C."""
+        x, c = a.ind, a.concept
+        op, split, inv, other = _SIDES[a.kind]
+        modal, rel, make = _MODAL[a.kind]
+        mirror, mrel, mmake = _MODAL[other]
+        if c.kind == op:
+            self.add(S.member(x, c.left), split, (n,))
+            self.add(S.member(x, c.right), split, (n,))
+        for row in self._rows((op, None, c)):
+            for m, operand in row.items():
+                if (p := self._fact((a.kind, None, x), operand)) is not None:
+                    self.add(S.member(x, m), inv, (n, p))
         # join rules add relational facts only: the rows walked stay put
-        based, own = self._rows((S.REL_I, None, b))
-        for row in self._rows((S.MEM_FEAT, None, c)):
-            for y in row:
-                if y not in own and y not in based:
-                    self.add(S.rel_i(b, y), "I", (a, row[y]))
-        if c.kind == S.BOX:
-            based, own = self._rows((S.REL_BOX, c.index, b))
-            for row in self._rows((S.MEM_FEAT, None, c.child)):
-                for y in row:
-                    if y not in own and y not in based:
-                        self.add(S.rel_box(c.index, b, y), "box", (a, row[y]))
-        for row in self._rows((S.MEM_FEAT, S.DIA, c)):
-            for (i, y), p in row.items():
-                if not self._fact((S.REL_DIA, i, b), y):
-                    self.add(S.rel_dia(i, y, b), "dia", (p, a))
+        based, own = self._rows((S.REL_I, None, x))
+        for row in self._rows((other, None, c)):
+            for z in row:
+                if z not in own and z not in based:
+                    if other == S.MEM_FEAT:
+                        self.add(S.rel_i(x, z), "I", (n, row[z]))
+                    else:
+                        self.add(S.rel_i(z, x), "I", (row[z], n))
+        if c.kind == modal:
+            based, own = self._rows((rel, c.index, x))
+            for row in self._rows((other, None, c.child)):
+                for z in row:
+                    if z not in own and z not in based:
+                        self.add(make(c.index, x, z), modal, (n, row[z]))
+        for row in self._rows((other, mirror, c)):
+            for (i, z), p in row.items():
+                if self._fact((mrel, i, x), z) is None:
+                    self.add(mmake(i, z, x), mirror, (p, n))
 
-    def fire_feat_membership(self, a):
-        y, c = a.ind, a.concept
-        if c.kind == S.JOIN:
-            self.add(S.member(y, c.left), "or_X", (a,))
-            self.add(S.member(y, c.right), "or_X", (a,))
-        for row in self._rows((S.JOIN, None, c)):
-            for j, other in row.items():
-                if p := self._fact((S.MEM_FEAT, None, y), other):
-                    self.add(S.member(y, j), "or_inv", (a, p))
-        based, own = self._rows((S.REL_I, None, y))
-        for row in self._rows((S.MEM_OBJ, None, c)):
-            for b in row:
-                if b not in own and b not in based:
-                    self.add(S.rel_i(b, y), "I", (row[b], a))
-        if c.kind == S.DIA:
-            based, own = self._rows((S.REL_DIA, c.index, y))
-            for row in self._rows((S.MEM_OBJ, None, c.child)):
-                for b in row:
-                    if b not in own and b not in based:
-                        self.add(S.rel_dia(c.index, y, b), "dia", (a, row[b]))
-        for row in self._rows((S.MEM_OBJ, S.BOX, c)):
-            for (i, b), p in row.items():
-                if not self._fact((S.REL_BOX, i, y), b):
-                    self.add(S.rel_box(i, b, y), "box", (p, a))
-
-    def fire_incidence(self, a):
+    def fire_incidence(self, a, n):
         b, y = a.left, a.right
         if y.kind == S.CLASSIFIER:
-            self.add(S.member(b, y.concept), "append_x", (a,))
+            self.add(S.member(b, y.concept), "append_x", (n,))
         elif y.kind == S.ADJ_BOX:
-            if not self._fact((S.REL_BOX, y.index, b), y.base):
-                self.add(S.rel_box(y.index, b, y.base), "box_y", (a,))
+            if self._fact((S.REL_BOX, y.index, b), y.base) is None:
+                self.add(S.rel_box(y.index, b, y.base), "box_y", (n,))
         elif y.kind == S.BLACK_SQ:
-            if not self._fact((S.REL_DIA, y.index, b), y.base):
-                self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (a,))
+            if self._fact((S.REL_DIA, y.index, b), y.base) is None:
+                self.add(S.rel_dia(y.index, y.base, b), "bsq_y", (n,))
         if b.kind == S.CLASSIFIER:
-            self.add(S.member(y, b.concept), "append_a", (a,))
+            self.add(S.member(y, b.concept), "append_a", (n,))
         elif b.kind == S.ADJ_DIA:
-            if not self._fact((S.REL_DIA, b.index, y), b.base):
-                self.add(S.rel_dia(b.index, y, b.base), "dia_b", (a,))
+            if self._fact((S.REL_DIA, b.index, y), b.base) is None:
+                self.add(S.rel_dia(b.index, y, b.base), "dia_b", (n,))
         elif b.kind == S.BLACK_DIA:
-            if not self._fact((S.REL_BOX, b.index, y), b.base):
-                self.add(S.rel_box(b.index, b.base, y), "bdia_b", (a,))
+            if self._fact((S.REL_BOX, b.index, y), b.base) is None:
+                self.add(S.rel_box(b.index, b.base, y), "bdia_b", (n,))
 
-    def fire_box_fact(self, a):
+    def fire_box_fact(self, a, n):
         i, b, y = a.index, a.left, a.right
-        self.add(S.rel_i(S.black_diamond(b, i), y), "adj_box", (a,))
-        self.add(S.rel_i(b, S.adj_box(y, i)), "adj_box", (a,))
+        self.add(S.rel_i(S.black_diamond(b, i), y), "adj_box", (n,))
+        self.add(S.rel_i(b, S.adj_box(y, i)), "adj_box", (n,))
 
-    def fire_dia_fact(self, a):
+    def fire_dia_fact(self, a, n):
         i, y, b = a.index, a.left, a.right
-        self.add(S.rel_i(S.adj_diamond(b, i), y), "adj_dia", (a,))
-        self.add(S.rel_i(b, S.black_square(y, i)), "adj_dia", (a,))
+        self.add(S.rel_i(S.adj_diamond(b, i), y), "adj_dia", (n,))
+        self.add(S.rel_i(b, S.black_square(y, i)), "adj_dia", (n,))
 
-    def fire_extras(self, a):
+    def fire_extras(self, a, n):
         if a.is_relational:
             keys = ((a.kind, a.index, a.left), (a.kind, a.index, a.right))
         else:
             keys = ((a.kind, None, a.concept),)
         for key in keys:
             for conclude, label in self.extra_rules.get(key, ()):
-                self.add(conclude(a), label, (a,))
+                self.add(conclude(a), label, (n,))
 
-    def fire_negative(self, a):
+    def fire_negative(self, a, n):
         t = a.inner
         if t.kind == S.MEM_OBJ:
             self.add(S.neg(S.rel_i(t.ind, S.classifier_feat(t.concept))),
-                     "neg_b", (a,))
+                     "neg_b", (n,))
         elif t.kind == S.MEM_FEAT:
             self.add(S.neg(S.rel_i(S.classifier_obj(t.concept), t.ind)),
-                     "neg_x", (a,))
+                     "neg_x", (n,))
 
     # -- main loop -----------------------------------------------------------
 
@@ -556,26 +562,26 @@ class Completion:
                     f"{extra.label} names a concept that does not occur "
                     "in the ABox")
 
-    def _create(self, concepts):
-        for c in concepts:
-            for a in S.creation_terms(c):
-                self.add(a, "create", ())
-
     def resume(self, base: Completion) -> Completion:
         """Fire what the delta adds to the finished run `base`, forked
         into this run."""
         new_extras = self.rules[len(base.rules):]
         self._check_extras(new_extras)
+        step = base.provenance.step
         for extra in new_extras:
+            conclude, label = extra.conclude, extra.label
             for key in extra.triggers:
-                for a in base.facts_at(key):
-                    self.add(extra.conclude(a), extra.label, (a,))
+                for row in base._rows(key):
+                    for n in row.values():
+                        self.add(conclude(step(n)[0]), label, (n,))
         # rendered smallest first, so the inputs' sort reads cached texts
         fresh = S.by_text(self.occurring - base.occurring)
         for a in sorted(self.input_assertions - base.input_assertions,
                         key=str):
             self.add(a, "input", ())
-        self._create(fresh)
+        for c in fresh:
+            for a in S.creation_terms(c):
+                self.add(a, "create", ())
         for c in fresh:
             if c.kind == S.MEET or c.kind == S.JOIN:
                 # a row under each operand; the pairs of base facts fire
@@ -584,29 +590,47 @@ class Completion:
                 self.rows.setdefault((c.kind, None, c.right), {})[c] = c.left
                 kind, label = ((S.MEM_OBJ, "and_inv") if c.kind == S.MEET
                                else (S.MEM_FEAT, "or_inv"))
-                for p in base.facts_at((kind, None, c.left)):
-                    if q := base._fact((kind, None, p.ind), c.right):
-                        self.add(S.member(p.ind, c), label, (p, q))
+                for row in base._rows((kind, None, c.left)):
+                    for ind, p in row.items():
+                        q = base._fact((kind, None, ind), c.right)
+                        if q is not None:
+                            self.add(S.member(ind, c), label, (p, q))
         return self._loop()
 
     def _loop(self) -> Completion:
-        steps = self.fired
+        steps, log, start = self.fired, self.log, self.start
         while self.worklist and self.clash is None:
             if self.rng is None:
-                a = self.worklist.popleft()
+                n = self.worklist.popleft()
             else:
                 k = self.rng.randrange(len(self.worklist))
                 self.worklist.rotate(-k)
-                a = self.worklist.popleft()
+                n = self.worklist.popleft()
                 self.worklist.rotate(k)
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
                 raise ResourceLimitError(
                     f"saturation exceeded {self.max_steps} steps")
-            self.fire(a)
+            a = log[4 * (n - start)]    # fire the rules a is a premise of
+            _FIRE[a.kind](self, a, n)
+            if self.extra_rules and a.kind != S.NEG:
+                self.fire_extras(a, n)
         self.fired = steps
         return self
 
+
+# per membership kind: the operator of and_A/and_inv (or_X/or_inv), their
+# labels and the partners' kind; and the operator, relation kind and term
+# constructor of its modal rule, box (dia), which the other kind mirrors
+_SIDES = {S.MEM_OBJ: (S.MEET, "and_A", "and_inv", S.MEM_FEAT),
+          S.MEM_FEAT: (S.JOIN, "or_X", "or_inv", S.MEM_OBJ)}
+_MODAL = {S.MEM_OBJ: (S.BOX, S.REL_BOX, S.rel_box),
+          S.MEM_FEAT: (S.DIA, S.REL_DIA, S.rel_dia)}
+# the rules a fact of each kind is a premise of
+_FIRE = {S.MEM_OBJ: Completion.fire_membership,
+         S.MEM_FEAT: Completion.fire_membership,
+         S.REL_I: Completion.fire_incidence, S.REL_BOX: Completion.fire_box_fact,
+         S.REL_DIA: Completion.fire_dia_fact, S.NEG: Completion.fire_negative}
 
 # the base of every run from scratch: no inputs, facts or extras; runs
 # fork it, so it stays empty

@@ -109,6 +109,7 @@ PARSE_ERRORS = [
     ("kb", "obj b. not b x.", "1:14: expected ':', '::' or a role after 'b'"),
     ("concept", "A B", "1:3: trailing input after concept: 'B'"),
     ("term", "m : A. x", "1:8: trailing input after term: 'x'"),
+    ("term", "m Rbox1", "2:1: expected individual name, found 'end of input'"),
     ("individual", "zz", "undeclared individual 'zz'"),
 ]
 
@@ -306,6 +307,24 @@ class TestTermHelpers:
         assert t is P.rel_box(1, P.named_obj("m3"), P.named_feat("f3"))
         t2 = P.parse_term("not m1 I f2", movies_kb)
         assert t2 is P.neg(P.rel_i(P.named_obj("m1"), P.named_feat("f2")))
+
+    @pytest.mark.parametrize("text, message", [
+        ("m1 :", "2:1: expected a concept, found 'end of input'"),
+        ("m1 : GM and", "2:1: expected a concept, found 'end of input'"),
+        ("not m1 I", "2:1: expected individual name, found 'end of input'"),
+        ("m1 : GM . .", "1:11: trailing input after term: '.'"),
+    ])
+    def test_a_term_is_read_as_typed(self, movies_kb, text, message):
+        # positions count the characters typed; a term that ends early
+        # reports end of input where parse_concept does
+        with pytest.raises(ParseError) as err:
+            P.parse_term(text, movies_kb)
+        assert str(err.value) == message
+
+    def test_a_term_may_end_with_its_period(self, movies_kb):
+        m1, GM = P.named_obj("m1"), P.atom("GM")
+        for text in ("m1 : GM .", "m1 : GM.", "m1 : GM"):
+            assert P.parse_term(text, movies_kb) is P.member(m1, GM)
 
     def test_parse_individual(self, movies_kb):
         assert P.parse_individual("m1", movies_kb) is P.named_obj("m1")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import polardl as P
 from polardl import syntax as S
-from polardl.errors import ResourceLimitError
+from polardl.errors import ParseError, PolardlError, ResourceLimitError
 from polardl.tbox import substitute_concept
 
 import dev_sequence_digest
@@ -275,6 +275,14 @@ class TestSortDiscipline:
         with pytest.raises(ValueError):
             P.Role("I", 1)
         assert str(P.Role.parse("Rdia2")) == "Rdia2"
+
+    @pytest.mark.parametrize("text", ["Rfoo", "Rbox", "Rbox0", "Rdia-1",
+                                      "Rbox\u00b2", "box1", "i", ""])
+    def test_a_bad_role_name_is_a_parse_error(self, text):
+        # library callers catch PolardlError; the CLI prints a ParseError
+        with pytest.raises(PolardlError, match="not a role name") as err:
+            P.Role.parse(text)
+        assert type(err.value) is ParseError
 
 
 def _race_terms(name):

@@ -1,9 +1,11 @@
+import gc
 import os
 import pathlib
 import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -433,3 +435,53 @@ class TestDeterminism:
                   for order in ("123456", "654321", "315264")}
         assert len(traces) == 1
         assert traces.pop().count(b'"and_inv"') == 6
+
+
+class TestMemory:
+    def test_a_finished_run_is_freed_by_reference_counting(self, movies_kb):
+        # with the collector off, a run that a cycle kept alive would stay
+        # alive; the provenance view must not point back at its run
+        abox = P.unravel(movies_kb)
+        rules = (P.CopyRule(I, P.named_obj("m3"), P.named_obj("m4")),)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            base = P.saturate(abox)
+            run = P.saturate(abox | {P.member(P.named_obj("m4"),
+                                              P.atom("Fresh"))},
+                             rules, start=base)
+            assert run.is_consistent and run.own
+            for comp in (base, run):   # caches built, as a caller builds them
+                comp.clash_certificate(), comp.stats, comp.assertions
+                assert comp.provenance[comp.assertions[-1]]
+            refs = [weakref.ref(base), weakref.ref(run)]
+            del run, comp
+            assert refs[1]() is None
+            del base
+            assert refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_tracked_objects_per_fact(self):
+        # a fact costs the collector its assertion and little else: no
+        # provenance tuple and no intern key per fact
+        script = (
+            "import gc, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import polardl as P\n"
+            "from test_acceptance import ladder_abox\n"
+            "abox = ladder_abox(800)\n"
+            "gc.collect()\n"
+            "gc.disable()\n"
+            "before = len(gc.get_objects())\n"
+            "comp = P.saturate(abox)\n"
+            "grown = len(gc.get_objects()) - before\n"
+            "print(grown, len(comp.assertions))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(P.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(pathlib.Path(__file__).parent)],
+            capture_output=True, text=True, env=env, check=True).stdout
+        grown, facts = map(int, out.split())
+        assert facts > 10_000 and grown <= 2 * facts, (grown, facts)
