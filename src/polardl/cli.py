@@ -175,6 +175,13 @@ class _LineParser(argparse.ArgumentParser):
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
+    def parse_line(self, line: str) -> argparse.Namespace:
+        try:
+            words = shlex.split(line)
+        except ValueError as exc:   # a quote that never closes
+            self.error(str(exc))
+        return self.parse_args(words)
+
 
 # a plain line: bare and single-quoted words, apart from each other by spaces
 _WORD = r"""([^ '"\\\t\r\n]+)|'([^']*)'"""
@@ -249,7 +256,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 
 # what bad input raises: OSError, a file that cannot be read (a KB or an
-# --equiv file); ValueError, a term of the wrong sorts or a bad quote;
+# --equiv file); ValueError, a file that is not UTF-8 (UnicodeDecodeError);
 # RecursionError, input nested deeper than the recursive parser reaches
 _INPUT_ERRORS = (PolardlError, OSError, ValueError, RecursionError)
 _ENCODE = json.JSONEncoder(sort_keys=True).encode  # a record on one line
@@ -274,7 +281,7 @@ def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
     status = "consistent" if comp.is_consistent else "inconsistent"
     payload = {"command": "check", "status": status, "clash": None,
                "input_assertions": len(comp.input_assertions),
-               "completion_size": len(comp.assertions),
+               "completion_size": len(comp.provenance),
                "rule_applications": dict(sorted(comp.stats.items()))}
     lines = [status,
              f"input assertions: {payload['input_assertions']}",
@@ -332,7 +339,7 @@ def _cmd_ask(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
         failed = False
         for line in lines:
             try:
-                sub = _plain_line(line) or ap.parse_args(shlex.split(line))
+                sub = _plain_line(line) or ap.parse_line(line)
                 _check_query(sub, ap.error)
                 sub.trace = sub.trace or args.trace
                 payload = _run_ask_query(sub, kb, engine, read)

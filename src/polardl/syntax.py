@@ -45,10 +45,9 @@ _concepts: dict = {}
 class Concept:
     """A hash-consed concept term. Construct via atom/meet/join/box/dia.
 
-    It holds its parts and its node count; `fold` computes the rest."""
+    It holds its parts and its cached text; `fold` computes the rest."""
 
-    __slots__ = ("kind", "name", "left", "right", "index", "child", "size",
-                 "_str")
+    __slots__ = ("kind", "name", "left", "right", "index", "child", "_str")
 
     def __init__(self, kind, name=None, left=None, right=None,
                  index=None, child=None):
@@ -58,12 +57,6 @@ class Concept:
         self.right = right
         self.index = index
         self.child = child
-        if kind == ATOM:
-            self.size = 1
-        elif child is None:
-            self.size = 1 + left.size + right.size
-        else:
-            self.size = 1 + child.size
         self._str = None
 
     def __repr__(self):
@@ -113,10 +106,14 @@ class _Texts(dict):
         return c._str
 
 
-def by_text(concepts) -> list:
-    """The concepts sorted by text, smaller ones rendered first, so each
-    render reads the cached texts of those among its parts."""
-    return sorted(sorted(concepts, key=lambda c: c.size), key=str)
+def by_text(concepts: frozenset) -> list:
+    """The concepts sorted by text.  A walk renders them parts first and
+    stops at cached texts, so each render reads the cached texts of those
+    among its parts."""
+    walked = _Texts()
+    for c in concepts:
+        fold(c, walked, lambda t, *_: str(t) if t in concepts else None)
+    return sorted(concepts, key=str)
 
 
 def _spell(texts: dict, c: Concept, *parts) -> str:
@@ -274,7 +271,7 @@ def pad_feat() -> Individual:
 
 def black_diamond(b: Individual, index: int) -> Individual:
     if b.sort != OBJ:
-        raise ValueError("black diamond applies to objects")
+        raise ParseError("black diamond applies to objects")
     return _names.get(key := (BLACK_DIA, index, b)) or _names.setdefault(
         key, Individual(BLACK_DIA, OBJ, index=index, base=b))
 
@@ -282,7 +279,7 @@ def black_diamond(b: Individual, index: int) -> Individual:
 def adj_diamond(b: Individual, index: int) -> Individual:
     """dia_i(b); collapses to the classifier of dia_i C when b is a_C."""
     if b.sort != OBJ:
-        raise ValueError("diamond image applies to objects")
+        raise ParseError("diamond image applies to objects")
     if b.kind == CLASSIFIER:
         return classifier_obj(dia(index, b.concept))
     return _names.get(key := (ADJ_DIA, index, b)) or _names.setdefault(
@@ -292,7 +289,7 @@ def adj_diamond(b: Individual, index: int) -> Individual:
 def adj_box(y: Individual, index: int) -> Individual:
     """box_i(y); collapses to the classifier of box_i C when y is x_C."""
     if y.sort != FEAT:
-        raise ValueError("box image applies to features")
+        raise ParseError("box image applies to features")
     if y.kind == CLASSIFIER:
         return classifier_feat(box(index, y.concept))
     return _names.get(key := (ADJ_BOX, index, y)) or _names.setdefault(
@@ -301,7 +298,7 @@ def adj_box(y: Individual, index: int) -> Individual:
 
 def black_square(y: Individual, index: int) -> Individual:
     if y.sort != FEAT:
-        raise ValueError("black square applies to features")
+        raise ParseError("black square applies to features")
     return _names.get(key := (BLACK_SQ, index, y)) or _names.setdefault(
         key, Individual(BLACK_SQ, FEAT, index=index, base=y))
 
@@ -460,14 +457,14 @@ class Assertion:
 
 def rel_i(b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
-        raise ValueError(f"incidence terms relate an object to a feature: {b} I {y}")
+        raise ParseError(f"incidence terms relate an object to a feature: {b} I {y}")
     row = _rel_i.get(b) or _rel_i.setdefault(b, {})
     return row.get(y) or row.setdefault(y, Assertion(REL_I, left=b, right=y))
 
 
 def rel_box(index: int, b: Individual, y: Individual) -> Assertion:
     if b.sort != OBJ or y.sort != FEAT:
-        raise ValueError("box-role terms relate an object to a feature")
+        raise ParseError("box-role terms relate an object to a feature")
     row = _rel_box.get(b) or _rel_box.setdefault(b, {})
     row = row.get(index) or row.setdefault(index, {})
     return row.get(y) or row.setdefault(
@@ -476,7 +473,7 @@ def rel_box(index: int, b: Individual, y: Individual) -> Assertion:
 
 def rel_dia(index: int, y: Individual, b: Individual) -> Assertion:
     if y.sort != FEAT or b.sort != OBJ:
-        raise ValueError("dia-role terms relate a feature to an object")
+        raise ParseError("dia-role terms relate a feature to an object")
     row = _rel_dia.get(y) or _rel_dia.setdefault(y, {})
     row = row.get(index) or row.setdefault(index, {})
     return row.get(b) or row.setdefault(

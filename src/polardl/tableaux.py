@@ -310,12 +310,6 @@ class Completion:
     def is_consistent(self) -> bool:
         return self.clash is None
 
-    @property
-    def abox_depth(self) -> S.DepthProfile:
-        depths = [S.depth_profile(c) for c in self.occurring]
-        return S.DepthProfile(max((d.box_depth for d in depths), default=0),
-                              max((d.dia_depth for d in depths), default=0))
-
     def __contains__(self, a: S.Assertion) -> bool:
         return a in self.own or a in self.inherited
 
@@ -327,9 +321,6 @@ class Completion:
     def stats(self) -> Counter:
         """Rule label -> the facts it added, labels in order of first use."""
         return Counter(self.provenance.rules())
-
-    def positives(self):
-        return [a for a in self.provenance if a.kind != S.NEG]
 
     @cached_property
     def invariant_violations(self) -> tuple:
@@ -354,11 +345,6 @@ class Completion:
                 if S.box_adjoint_view(a.left) is not None:
                     out.append(f"box-image heads a dia-role fact: {a}")
         return tuple(out)
-
-    def facts_at(self, key) -> list:
-        """The facts indexed under the given key, in completion order."""
-        return [self.provenance.step(n)[0] for row in self._rows(key)
-                for n in row.values()]
 
     def related(self, role: Role, anchor: S.Individual, side: str):
         """Individuals x with the (anchor, x) fact (side 'right') or the

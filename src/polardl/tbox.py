@@ -92,6 +92,11 @@ def substitute_concept(c: S.Concept, mapping: dict) -> S.Concept:
     return S.fold(c, {}, rebuild)
 
 
+def _tree_nodes(c: S.Concept, *parts) -> int:
+    # a budget counts tree nodes: a concept's text is as long as its tree
+    return 1 + sum(parts)
+
+
 def definition_map(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> dict:
     """Fully expanded definition for each defined name, or raise."""
     if not kb.tbox:
@@ -99,11 +104,11 @@ def definition_map(kb: KnowledgeBase, max_nodes: int = 1_000_000) -> dict:
     tbox = rewrite_all(kb)
     order = check_acyclic(tbox)
     raw = {ax.lhs.name: ax.rhs for ax in tbox}
-    expanded: dict = {}
+    expanded, nodes = {}, {}
     total = 0
     for name in order:
         c = substitute_concept(raw[name], expanded)
-        total += c.size
+        total += S.fold(c, nodes, _tree_nodes)
         if total > max_nodes:
             raise SizeLimitError(
                 f"definition expansion exceeded {max_nodes} nodes")
@@ -146,13 +151,13 @@ def expand_abox(abox, mapping: dict, max_nodes: int = 1_000_000) -> frozenset:
     defined name replaced and each definition's creation pair added."""
     if not mapping:
         return frozenset(abox)
-    out = set()
+    out, nodes = set(), {}
     total = 0
     for a in abox:
         b = substitute_assertion(a, mapping)
         t = b.inner if b.kind == S.NEG else b
         if t.kind in (S.MEM_OBJ, S.MEM_FEAT):
-            total += t.concept.size
+            total += S.fold(t.concept, nodes, _tree_nodes)
             if total > max_nodes:
                 raise SizeLimitError(
                     f"ABox expansion exceeded {max_nodes} nodes")

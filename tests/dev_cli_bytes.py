@@ -16,7 +16,8 @@ both fixtures; every `ask` query kind in text and json, with and without
 --trace, with the --neg forms and the error cases; --batch files of good
 and bad lines, and one whose lines repeat names, concepts, terms and a
 bad line, with one line that only argparse reads; usage errors in both
-formats; and `check` on a chain of 990 definitions under a step budget.
+formats; `check` on a chain of 990 definitions under a step budget; and
+`check` on two definition DAGs whose trees exceed the node budgets.
 stderr reports the number of lines.  `tests/test_cli.py` pins the
 sha256 of this output; a change that means to change the CLI's bytes
 updates that constant.
@@ -147,6 +148,21 @@ def invocations():
     # a 990-definition chain runs into its step budget
     for fmt in ("text", "json"):
         yield ["check", "chain.kb", "--max-steps", "200", "--format", fmt]
+    # trees past the default node budgets: the definitions, then the ABox
+    for kb in ("dag18.kb", "dag16x6.kb"):
+        for fmt in ("text", "json"):
+            yield ["check", kb, "--format", fmt]
+
+
+def dag(levels: int, objects: int) -> str:
+    """C{i} equiv C{i+1} and box1 C{i+1} down to C{levels} equiv GM, and
+    C0 asserted of each object: C0's tree doubles with each level, its
+    distinct subterms grow by two."""
+    names = [f"b{k}" for k in range(objects)]
+    return "\n".join([
+        f"obj {' '.join(names)}.", "roles box 1 dia 0.",
+        *(f"C{i} equiv C{i + 1} and box1 C{i + 1}." for i in range(levels)),
+        f"C{levels} equiv GM.", *(f"{b} : C0." for b in names)]) + "\n"
 
 
 def _digest(text: str) -> str:
@@ -184,6 +200,10 @@ def lines():
             "obj b.\n" + "".join(f"C{k} equiv GM and C{k + 1}.\n"
                                  for k in range(989))
             + "C989 equiv GM.\nb : C0.\n", encoding="utf-8")
+        for name, levels, objects in (("dag18.kb", 18, 1),
+                                      ("dag16x6.kb", 16, 6)):
+            pathlib.Path(tmp, name).write_text(dag(levels, objects),
+                                               encoding="utf-8")
         os.chdir(tmp)
         try:
             for argv in invocations():

@@ -156,6 +156,13 @@ def slacks_for(extras):
     return box_slack, dia_slack
 
 
+def abox_depth(comp) -> tuple:
+    """The largest box and dia nesting over the run's occurring concepts."""
+    depths = [S.depth_profile(c) for c in comp.occurring]
+    return (max((d.box_depth for d in depths), default=0),
+            max((d.dia_depth for d in depths), default=0))
+
+
 def depth_claim_violations(comp, box_slack=0, dia_slack=0):
     """Check the per-term depth bounds over every assertion of the
     completion; returns a list of human-readable violations.
@@ -164,8 +171,7 @@ def depth_claim_violations(comp, box_slack=0, dia_slack=0):
     (also preserved by the copy extras); the slacks widen one side's
     constants by one for runs with relation-inclusion extras.
     """
-    bd_a = comp.abox_depth.box_depth
-    dd_a = comp.abox_depth.dia_depth
+    bd_a, dd_a = abox_depth(comp)
     depth = functools.cache(S.depth_profile)   # each term once per run
     out = []
 

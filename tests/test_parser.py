@@ -251,7 +251,7 @@ class TestConceptReader:
     def test_a_chain_of_any_length_parses(self, op):
         text = f" {op} ".join(f"A{k}" for k in range(10_000))
         c = P.parse_concept(text, P.KnowledgeBase())
-        assert c.size == 19_999 and c.left is P.atom("A0")
+        assert len(P.subconcepts(c)) == 19_999 and c.left is P.atom("A0")
         assert str(c) == text
 
 

@@ -357,6 +357,9 @@ class TestSeparation:
     def test_mixed_sorts_rejected(self, movies_engine):
         with pytest.raises(UnsupportedQueryError):
             movies_engine.ask_separation(m2, f3)
+        with pytest.raises(UnsupportedQueryError,
+                           match="differentiation compares same-sort names"):
+            movies_engine.ask_differentiation(m2, f3)
 
     def test_synthetic_names_are_refused(self, movies_kb):
         # a copy rule onto this classifier feature grows without bound;

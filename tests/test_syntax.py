@@ -7,14 +7,18 @@ from hypothesis import given, strategies as st
 
 import polardl as P
 from polardl import syntax as S
-from polardl.errors import ParseError, PolardlError, ResourceLimitError
-from polardl.tbox import substitute_concept
+from polardl.errors import (ParseError, PolardlError, ResourceLimitError,
+                            SizeLimitError)
+from polardl.parser import KnowledgeBase, TBoxAxiom
+from polardl.tbox import definition_map, substitute_concept
 
 import dev_sequence_digest
 import fuzz
 
 D, E, GM, C = P.atom("D"), P.atom("E"), P.atom("GM"), P.atom("C")
 RM, DM = P.atom("RM"), P.atom("DM")
+B, B2 = P.named_obj("b"), P.named_obj("b2")
+Y, Y2 = P.named_feat("y"), P.named_feat("y2")
 
 
 def concepts(max_depth=3):
@@ -209,7 +213,10 @@ class TestDeepTerms:
             c, c_f = P.box(1, P.meet(c, E)), P.box(1, P.meet(c_f, F))
             text = f"box1 ({text} and E)"
             levels |= {c, c.child}
-        assert c.size == 7501
+        kb = KnowledgeBase(tbox=(TBoxAxiom("equiv", P.atom("Deep"), c),))
+        with pytest.raises(SizeLimitError, match="exceeded 7500 nodes"):
+            definition_map(kb, max_nodes=7500)
+        assert definition_map(kb, max_nodes=7501) == {"Deep": c}
         assert str(c) == text
         assert P.subconcepts(c) == levels
         assert P.occurring_concepts({P.member(P.named_obj("b"), c)}) == levels
@@ -255,14 +262,30 @@ class TestIdentifications:
 
 class TestSortDiscipline:
     def test_incidence_needs_object_left(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             P.rel_i(P.named_feat("y"), P.named_feat("z"))
 
     def test_adjoints_check_sorts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             P.black_diamond(P.named_feat("y"), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             P.adj_box(P.named_obj("b"), 1)
+
+    @pytest.mark.parametrize("build, args, message", [
+        (S.rel_i, (B, B2), "incidence terms relate an object to a feature"),
+        (S.rel_box, (1, Y, B), "box-role terms relate an object to a feature"),
+        (S.rel_box, (1, B, B2), "box-role terms relate an object to a feature"),
+        (S.rel_dia, (1, B, Y), "dia-role terms relate a feature to an object"),
+        (S.rel_dia, (1, Y, Y2), "dia-role terms relate a feature to an object"),
+        (S.adj_diamond, (Y, 1), "diamond image applies to objects"),
+        (S.black_square, (B, 1), "black square applies to features"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_a_term_of_the_wrong_sorts_is_a_parse_error(self, build, args,
+                                                         message):
+        # library callers catch PolardlError; the CLI prints a ParseError
+        with pytest.raises(PolardlError, match=message) as err:
+            build(*args)
+        assert type(err.value) is ParseError
 
     def test_neg_of_neg_rejected(self):
         t = P.rel_i(P.named_obj("b"), P.named_feat("y"))
@@ -297,9 +320,6 @@ def _parts(term):
         "ind", "concept", "left", "right", "inner", "child", "base")
         if getattr(term, field, None) is not None]
 
-
-B, B2 = P.named_obj("b"), P.named_obj("b2")
-Y, Y2 = P.named_feat("y"), P.named_feat("y2")
 
 # every constructor, with two choices for each of its parts
 CONSTRUCTORS = [

@@ -8,6 +8,8 @@ from polardl.tbox import (check_acyclic, definition_map, expand_abox,
                           rewrite_all, rewrite_gci, substitute_concept,
                           unravel)
 
+import dev_cli_bytes
+
 IM, EUM, GM, FM, D = (P.atom(n) for n in ("IM", "EUM", "GM", "FM", "D"))
 
 
@@ -175,6 +177,26 @@ class TestUnravel:
         kb = P.parse_kb("\n".join(lines))
         with pytest.raises(SizeLimitError):
             unravel(kb, max_nodes=500)
+
+    @pytest.mark.parametrize("levels, objects, error", [
+        (17, 1, None),
+        (18, 1, "definition expansion exceeded 1000000 nodes"),
+        (16, 5, None),
+        (16, 6, "ABox expansion exceeded 1000000 nodes"),
+    ])
+    def test_both_budgets_count_tree_nodes_at_their_defaults(
+            self, levels, objects, error):
+        # C{i} equiv C{i+1} and box1 C{i+1}: C0's tree doubles with each
+        # level, its distinct subterms grow by two (35 at 17 levels)
+        kb = P.parse_kb(dev_cli_bytes.dag(levels, objects))
+        if error is None:
+            out = unravel(kb)
+            assert len(out) == objects
+            assert {len(P.subconcepts(a.concept)) for a in out} == {
+                2 * levels + 1}
+        else:
+            with pytest.raises(SizeLimitError, match=error):
+                unravel(kb)
 
     def test_equi_consistency_on_micro_kbs(self):
         # unraveling preserves satisfiability at desk scale
