@@ -42,8 +42,8 @@ from itertools import cycle
 from typing import Callable, NamedTuple
 
 from .errors import PolardlError
-from .parser import (parse_concept, parse_individual, parse_kb, parse_term,
-                     KnowledgeBase)
+from .parser import (parse_concept, parse_individual, parse_kb, parse_role,
+                     parse_term, KnowledgeBase)
 from .queries import QueryEngine, _steps_payload
 from .model import build_model, model_to_csv, model_to_dict
 from . import syntax as S
@@ -109,11 +109,10 @@ _FLAGS = (  # in usage order
     _Flag("sep_rel", 3, ("LHSROLE", "RHSROLE", "PIVOT"), "rri", (),
           lambda e, a, r1, r2, x: e.ask_relation_separation(r1, r2, x),
           lambda a, *v: _record(a, "relation-separation lhs rhs pivot", *v)),
-    _Flag("dif", 2, ("FIRST", "SECOND"), "ii", ("role",),
-          lambda e, a, x, y: e.ask_differentiation(
-              x, y, S.Role.parse(a.role or "I")),
-          lambda a, x, y: _record(a, "differentiation first second role",
-                                  x, y, a.role or "I")),
+    _Flag("dif", 2, ("FIRST", "SECOND"), "iir", ("role",),
+          lambda e, a, x, y, r: e.ask_differentiation(x, y, r),
+          lambda a, x, y, r: _record(a, "differentiation first second role",
+                                     x, y, a.role or "I")),
     _Flag("identity", 2, ("FIRST", "SECOND"), "ii", (),
           lambda e, a, x, y: e.ask_identity(x, y),
           lambda a, *v: _record(a, "identity-distinguishable first second", *v)),
@@ -305,7 +304,7 @@ def _cmd_check(args, kb: KnowledgeBase, engine: QueryEngine) -> int:
 def _readers(kb: KnowledgeBase) -> dict:
     """The reader of each letter of `_Flag.kinds`, memoised by text."""
     return {"i": cache(lambda text: parse_individual(text, kb)),
-            "r": cache(S.Role.parse),
+            "r": cache(lambda text: parse_role(text, kb)),
             "c": cache(lambda text: parse_concept(text, kb)),
             "t": cache(lambda text: parse_term(text, kb)), "f": str}
 
@@ -318,6 +317,8 @@ def _run_ask_query(args, kb: KnowledgeBase, engine: QueryEngine,
         raise PolardlError("no query flag given")
     read = read or _readers(kb)
     texts = [given[q.dest]] if q.nargs is None else given[q.dest]
+    if "role" in q.modifiers:   # read after the query's own arguments
+        texts = [*texts, given["role"] or "I"]
     values = [read[kind](text) for kind, text in zip(cycle(q.kinds), texts)]
     ans = q.ask(engine, args, *values)
     payload = {"command": "ask", "query": q.record(args, *values),

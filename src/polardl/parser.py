@@ -229,12 +229,12 @@ class _Parser:
             return S.atom(t.text)
         self.fail(t, f"expected a concept, found {t.text or 'end of input'!r}")
 
-    def check_role(self, op: str, idx: int, tok: _Tok):
+    def check_role(self, op: str, idx: int, tok: _Tok | None = None):
         limit = self.box_roles if op in ("box", "Rbox") else self.dia_roles
         if idx < 1 or idx > limit:
             raise UndeclaredRoleError(
                 f"role index {idx} not covered by the roles declaration",
-                tok.line, tok.col)
+                *((tok.line, tok.col) if tok else ()))
 
     # -- statements ----------------------------------------------------------
 
@@ -338,6 +338,15 @@ def parse_term(text: str, kb: KnowledgeBase) -> S.Assertion:
     if t.kind != "EOF":
         p.fail(t, f"trailing input after term: {t.text!r}")
     return term
+
+
+def parse_role(text: str, kb: KnowledgeBase) -> S.Role:
+    """The role a name spells (see `Role.parse`), its index covered by
+    the KB's roles declaration."""
+    role = S.Role.parse(text)
+    if role.index is not None:
+        _context_parser("", kb).check_role(role.kind, role.index)
+    return role
 
 
 def parse_individual(name: str, kb: KnowledgeBase) -> S.Individual:

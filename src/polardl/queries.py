@@ -61,15 +61,16 @@ def _fact_answer(fact, present) -> Answer:
                             "absent": None if present else str(fact)})
 
 
-def _listing(run, role: Role, anchor: S.Individual, side: str,
+def _listing(run, role: Role, anchor: S.Individual,
              include_synthetic: bool) -> Answer:
     """The names related to the anchor in the run (see
     `Completion.related`), with the facts that relate them."""
-    found = run.related(role, anchor, side)
+    found = run.related(role, anchor)
     if not include_synthetic:
         found = [i for i in found if not i.is_synthetic]
-    facts = [S.rel(role, anchor, i) if side == "right"
-             else S.rel(role, i, anchor) for i in found]
+    heads = anchor.sort == role.sorts[0]   # the anchor is the left end
+    facts = [S.rel(role, anchor, i) if heads else S.rel(role, i, anchor)
+             for i in found]
     return Answer(sorted({str(i) for i in found}),
                   {"kind": "facts", "facts": sorted(map(str, facts))})
 
@@ -186,15 +187,13 @@ class QueryEngine:
                 f"side must be 'right' or 'left', not {side!r}")
         self._require_consistent()
         self._known(anchor)
-        dia = role.kind == "dia"
-        if (anchor.sort == (S.FEAT if dia else S.OBJ)) != (side == "right"):
+        left, right = role.sorts
+        if (anchor.sort == left) != (side == "right"):
+            names = {S.OBJ: "an object", S.FEAT: "a feature"}
             raise UnsupportedQueryError(
-                f"{role} relates "
-                f"{'a feature to an object' if dia else 'an object to a feature'}"
-                f": {anchor} cannot stand on its "
-                f"{'left' if side == 'right' else 'right'}")
-        return _listing(self.completion, role, anchor, side,
-                        include_synthetic)
+                f"{role} relates {names[left]} to {names[right]}: {anchor} "
+                f"cannot stand on its {'left' if side == 'right' else 'right'}")
+        return _listing(self.completion, role, anchor, include_synthetic)
 
     # -- membership / subsumption ----------------------------------------------
 
@@ -215,11 +214,9 @@ class QueryEngine:
                 f"side must be 'extent' or 'intent', not {side!r}")
         c = self._expand(c)
         run = self._completion_with_concepts([c])
-        if side == "extent":
-            return _listing(run, Role("I"), S.classifier_feat(c), "left",
-                            include_synthetic)
-        return _listing(run, Role("I"), S.classifier_obj(c), "right",
-                        include_synthetic)
+        anchor = (S.classifier_feat(c) if side == "extent"
+                  else S.classifier_obj(c))
+        return _listing(run, Role("I"), anchor, include_synthetic)
 
     def ask_subsumption(self, c1: S.Concept, c2: S.Concept) -> Answer:
         """Is every instance of c1 an instance of c2?"""

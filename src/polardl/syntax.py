@@ -333,7 +333,7 @@ def box_adjoint_view(y: Individual):
 class Role:
     """A relation name: the incidence relation I, or an indexed box/dia role."""
 
-    kind: str           # "I" | "box" | "dia"
+    kind: str           # its facts' kind: "I" | "box" | "dia"
     index: int | None = None
 
     def __post_init__(self):
@@ -352,18 +352,15 @@ class Role:
         return ("Rbox" if self.kind == "box" else "Rdia") + str(self.index)
 
     @property
-    def fact_kind(self) -> str:
-        """The assertion kind of this role's facts."""
-        if self.kind == "I":
-            return REL_I
-        return REL_BOX if self.kind == "box" else REL_DIA
+    def sorts(self) -> tuple:
+        """(left sort, right sort) of the role's facts: I and box roles
+        relate an object to a feature, dia roles a feature to an object."""
+        return (FEAT, OBJ) if self.kind == "dia" else (OBJ, FEAT)
 
     @classmethod
     def of(cls, a: "Assertion") -> "Role":
         """The role of a relational assertion."""
-        if a.kind == REL_I:
-            return cls("I")
-        return cls("box" if a.kind == REL_BOX else "dia", a.index)
+        return cls(a.kind, a.index)
 
     @classmethod
     def parse(cls, text: str) -> "Role":
@@ -383,9 +380,10 @@ class Role:
 # Assertions
 # ---------------------------------------------------------------------------
 
+# a relational fact's kind is its role's (see notes/decisions.md)
 REL_I = "I"
-REL_BOX = "rbox"
-REL_DIA = "rdia"
+REL_BOX = BOX
+REL_DIA = DIA
 MEM_OBJ = "mobj"
 MEM_FEAT = "mfeat"
 NEG = "neg"
@@ -572,9 +570,9 @@ def role_indices(assertions, concepts) -> tuple:
     """The sorted box and dia role indices of the relational assertions,
     negated ones included, and of the concepts."""
     terms = [a.inner if a.kind == NEG else a for a in assertions]
-    return tuple(sorted({t.index for t in terms if t.kind == fact}
-                        | {c.index for c in concepts if c.kind == op})
-                 for fact, op in ((REL_BOX, BOX), (REL_DIA, DIA)))
+    return tuple(sorted({t.index for t in (*terms, *concepts)
+                         if t.kind == kind})
+                 for kind in (BOX, DIA))
 
 
 def individuals_in(assertions) -> set:

@@ -83,7 +83,7 @@ rule takes from the fact it fires and the row entries it reads, and
 fact is indexed by key, key -> {partner: fact number}, and each
 occurring meet (join) under each operand:
 
-    b Rboxi y:  (rbox, i, b) -> {y: n},  (rbox, i, y) -> {b: n}
+    b Rboxi y:  (box, i, b) -> {y: n},  (box, i, y) -> {b: n}
     b : C:      (mobj, None, b) -> {C: n},  (mobj, None, C) -> {b: n}
     b : boxi C: also (mobj, box, C) -> {(i, b): n}
     C1 and C2:  (meet, None, C1) -> {C1 and C2: C2},  and under C2
@@ -140,7 +140,7 @@ class CopyRule:
 
     @property
     def triggers(self):
-        return ((self.role.fact_kind, self.role.index, self.src),)
+        return ((self.role.kind, self.role.index, self.src),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
         if a.left is self.src:
@@ -173,10 +173,8 @@ class RelationInclusionRule:
         if self.lhs.kind == "I":
             raise UnsupportedRuleError(
                 "inclusions of I into a box or dia role may not terminate")
-        if self.lhs.kind == "box":
-            if self.rhs.kind not in ("dia", "I") or self.pivot.sort != S.OBJ:
-                raise UnsupportedRuleError(f"unsupported direction {self.label}")
-        elif self.rhs.kind not in ("box", "I") or self.pivot.sort != S.FEAT:
+        if (self.rhs.kind == self.lhs.kind
+                or self.pivot.sort != self.lhs.sorts[0]):
             raise UnsupportedRuleError(f"unsupported direction {self.label}")
 
     @property
@@ -186,14 +184,13 @@ class RelationInclusionRule:
 
     @property
     def triggers(self):
-        return ((self.lhs.fact_kind, self.lhs.index, self.pivot),)
+        return ((self.lhs.kind, self.lhs.index, self.pivot),)
 
     def conclude(self, a: S.Assertion) -> S.Assertion:
-        # the pivot heads the premise: b Rboxi y or y Rdiai b
-        b, y = (a.left, a.right) if a.kind == S.REL_BOX else (a.right, a.left)
-        if self.rhs.kind == "dia":
-            return S.rel(self.rhs, y, b)
-        return S.rel(self.rhs, b, y)
+        # the premise's ends, in the order of the rhs's sorts
+        if a.left.sort == self.rhs.sorts[0]:
+            return S.rel(self.rhs, a.left, a.right)
+        return S.rel(self.rhs, a.right, a.left)
 
     def individuals(self):
         return (self.pivot,)
@@ -346,14 +343,10 @@ class Completion:
                     out.append(f"box-image heads a dia-role fact: {a}")
         return tuple(out)
 
-    def related(self, role: Role, anchor: S.Individual, side: str):
-        """Individuals x with the (anchor, x) fact (side 'right') or the
-        (x, anchor) fact (side 'left') for the given role: the partners
-        in the anchor's row when the anchor's sort is that side's."""
-        left = S.FEAT if role.kind == "dia" else S.OBJ
-        if (anchor.sort == left) != (side == "right"):
-            return []
-        return [*chain(*self._rows((role.fact_kind, role.index, anchor)))]
+    def related(self, role: Role, anchor: S.Individual):
+        """The individuals related to the anchor by a fact of the role, at
+        the end of the other sort: the partners in the anchor's row."""
+        return [*chain(*self._rows((role.kind, role.index, anchor)))]
 
     def steps(self):
         """Full derivation trace: (rule, premises, conclusion) per added
@@ -458,8 +451,8 @@ class Completion:
         """The rules of b : C, and their mirror images on y :: C."""
         x, c = a.ind, a.concept
         op, split, inv, other = _SIDES[a.kind]
-        modal, rel, make = _MODAL[a.kind]
-        mirror, mrel, mmake = _MODAL[other]
+        modal, make = _MODAL[a.kind]
+        mirror, mmake = _MODAL[other]
         if c.kind == op:
             self.add(S.member(x, c.left), split, (n,))
             self.add(S.member(x, c.right), split, (n,))
@@ -477,14 +470,14 @@ class Completion:
                     else:
                         self.add(S.rel_i(z, x), "I", (row[z], n))
         if c.kind == modal:
-            based, own = self._rows((rel, c.index, x))
+            based, own = self._rows((modal, c.index, x))
             for row in self._rows((other, None, c.child)):
                 for z in row:
                     if z not in own and z not in based:
                         self.add(make(c.index, x, z), modal, (n, row[z]))
         for row in self._rows((other, mirror, c)):
             for (i, z), p in row.items():
-                if self._fact((mrel, i, x), z) is None:
+                if self._fact((mirror, i, x), z) is None:
                     self.add(mmake(i, z, x), mirror, (p, n))
 
     def fire_incidence(self, a, n):
@@ -606,12 +599,12 @@ class Completion:
 
 
 # per membership kind: the operator of and_A/and_inv (or_X/or_inv), their
-# labels and the partners' kind; and the operator, relation kind and term
-# constructor of its modal rule, box (dia), which the other kind mirrors
+# labels and the partners' kind; and the operator of its modal rule, box
+# (dia), which the other kind mirrors, and its term constructor: the
+# operator is also the rule's label and its conclusions' kind
 _SIDES = {S.MEM_OBJ: (S.MEET, "and_A", "and_inv", S.MEM_FEAT),
           S.MEM_FEAT: (S.JOIN, "or_X", "or_inv", S.MEM_OBJ)}
-_MODAL = {S.MEM_OBJ: (S.BOX, S.REL_BOX, S.rel_box),
-          S.MEM_FEAT: (S.DIA, S.REL_DIA, S.rel_dia)}
+_MODAL = {S.MEM_OBJ: (S.BOX, S.rel_box), S.MEM_FEAT: (S.DIA, S.rel_dia)}
 # the rules a fact of each kind is a premise of
 _FIRE = {S.MEM_OBJ: Completion.fire_membership,
          S.MEM_FEAT: Completion.fire_membership,

@@ -76,6 +76,10 @@ ASKS = [
         "", "--neg --dif m2 m4", "--neg --list-related m3 I",
         "--rel m3 I f4 --member m1 IM", "--member m1 IM --role Rbox1",
         "--member m1 IM --side left", "--dif m2 m4 --max-steps 1",
+        # role arguments outside the roles declaration, and a bad index
+        "--rel m3 Rbox9 f4", "--list-related m3 Rbox9", "--sep Rdia7 f3 f4",
+        "--sep-rel Rbox3 I m4", "--dif m2 m4 --role Rbox9",
+        "--rel m3 Rbox0 f4",
     ]] + [
     ("clash.kb", q) for q in [
         "--rel b I b", "--member b D", "--list-related b I",

@@ -276,6 +276,7 @@ class TestAsk:
     @pytest.mark.parametrize("query, message", [
         (("m1", "Rfoo", "f3"), "not a role name"),
         (("f3", "I", "m1"), "incidence terms relate an object to a feature"),
+        (("m3", "Rbox0", "f4"), "not a role name"),
     ])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_rejected_term_is_an_error_not_a_verdict(self, query, message,
@@ -290,6 +291,25 @@ class TestAsk:
             # refused when it is built: both are ParseErrors
             assert error["type"] == "ParseError"
             assert message in error["message"]
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("query, index", [
+        (("--rel", "m3", "Rbox9", "f4"), 9),
+        (("--list-related", "m3", "Rbox9"), 9),
+        (("--sep", "Rdia7", "f3", "f4"), 7),
+        (("--sep-rel", "Rbox3", "I", "m4"), 3),
+        (("--dif", "m2", "m4", "--role", "Rbox9"), 9),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_undeclared_role_argument_is_an_error(self, query, index, fmt):
+        # movies.kb declares box roles 1-2 and dia roles 1-2
+        message = f"role index {index} not covered by the roles declaration"
+        code, out, err = run_cli("ask", MOVIES, *query, "--format", fmt)
+        assert (code, err) == (2, f"error: {message}\n")
+        if fmt == "json":
+            assert json.loads(out)["error"] == {
+                "type": "UndeclaredRoleError", "message": message}
         else:
             assert out == ""
 
@@ -549,13 +569,17 @@ class TestDeterminism:
 
     def test_cli_bytes_are_pinned(self):
         # the sha256 of what `python tests/dev_cli_bytes.py` prints: every
-        # invocation's stdout and stderr digests and exit code
+        # invocation's stdout and stderr digests and exit code.  Python
+        # 3.13's argparse words its usage text otherwise: 26 usage errors'
+        # stderr and `ask -h` differ there, no JSON record does
         import dev_cli_bytes
         lines = list(dev_cli_bytes.lines())
-        assert len(lines) == 375
+        assert len(lines) == 399
         assert hashlib.sha256("".join(
-            line + "\n" for line in lines).encode()).hexdigest() == \
-            "1f70e7b2bf8bbab9ac40303c71aefe0da2f8d0aa2c840f7d26fc82566141e265"
+            line + "\n" for line in lines).encode()).hexdigest() == (
+            "2dc7586a9764522f3e69e28c7044b82108c5d4ea3ffba5ffd367a6887b71b22a"
+            if sys.version_info >= (3, 13) else
+            "1a6debfabe80197339d83bec3048ff27c594498bed70d1be492e5e2e9b42dea5")
 
 
 # -- random KB text: the CLI never lets an exception escape -------------------

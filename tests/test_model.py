@@ -148,9 +148,10 @@ class TestSatisfies:
                 P.check_satisfies(movie_model, P.neg(t))
 
     def test_unknown_name(self, movie_model):
-        with pytest.raises(UnknownNameError):
-            P.check_satisfies(movie_model,
-                              P.member(P.named_obj("stranger"), P.atom("GM")))
+        stranger = P.named_obj("stranger")
+        for t in (P.member(stranger, P.atom("GM")), P.rel_i(stranger, MD.f3)):
+            with pytest.raises(UnknownNameError):
+                P.check_satisfies(movie_model, t)
 
 
 class TestICompatibility:

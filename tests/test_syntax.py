@@ -110,7 +110,7 @@ class TestMapAssertion:
                           P.neg(P.member(z, P.meet(P.box(1, D), E)))]
         assert [S.Role.of(t) for t in terms[:3]] == \
             [P.Role("I"), P.Role("box", 2), P.Role("dia", 3)]
-        assert [S.Role.of(t).fact_kind for t in terms[:3]] == \
+        assert [S.Role.of(t).kind for t in terms[:3]] == \
             [t.kind for t in terms[:3]]
 
 
@@ -292,11 +292,19 @@ class TestSortDiscipline:
         with pytest.raises(ValueError):
             P.neg(P.neg(t))
 
+    def test_an_empty_name_is_rejected(self):
+        with pytest.raises(ValueError, match="concept name must be nonempty"):
+            P.atom("")
+        with pytest.raises(ValueError, match="individual name must be"):
+            S.named(S.OBJ, "")
+
     def test_role_validation(self):
         with pytest.raises(ValueError):
             P.Role("box")
         with pytest.raises(ValueError):
             P.Role("I", 1)
+        with pytest.raises(ValueError, match="unknown role kind 'x'"):
+            P.Role("x")
         assert str(P.Role.parse("Rdia2")) == "Rdia2"
 
     @pytest.mark.parametrize("text", ["Rfoo", "Rbox", "Rbox0", "Rdia-1",

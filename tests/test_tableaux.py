@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from functools import partial
 
 import pytest
 
@@ -22,6 +23,25 @@ b, d = P.named_obj("b"), P.named_obj("d")
 y, z = P.named_feat("y"), P.named_feat("z")
 D, E = P.atom("D"), P.atom("E")
 I = P.Role("I")
+# relation inclusions (lhs, rhs, pivot) beside the three of
+# `test_an_unsupported_rule_cannot_be_built`'s own: with those, every
+# lhs kind, rhs kind and pivot sort; the message, or None where it builds
+_NO_END = "inclusions of I into a box or dia role may not terminate"
+INCLUSIONS = [
+    ("I", "I", b, _NO_END), ("I", "I", y, _NO_END),
+    ("I", "Rbox2", y, _NO_END), ("I", "Rdia2", b, _NO_END),
+    ("I", "Rdia2", y, _NO_END),
+    ("Rbox1", "I", b, None),
+    ("Rbox1", "I", y, "unsupported direction SX(Rbox1,I,y)"),
+    ("Rbox1", "Rbox2", y, "unsupported direction SX(Rbox1,Rbox2,y)"),
+    ("Rbox1", "Rdia2", b, None),
+    ("Rbox1", "Rdia2", y, "unsupported direction SX(Rbox1,Rdia2,y)"),
+    ("Rdia1", "I", b, "unsupported direction SA(Rdia1,I,b)"),
+    ("Rdia1", "I", y, None),
+    ("Rdia1", "Rbox2", b, "unsupported direction SA(Rdia1,Rbox2,b)"),
+    ("Rdia1", "Rbox2", y, None),
+    ("Rdia1", "Rdia2", b, "unsupported direction SA(Rdia1,Rdia2,b)"),
+]
 
 
 class TestBasics:
@@ -196,8 +216,15 @@ class TestExtraRules:
         (lambda: P.RelationInclusionRule(P.Role("dia", 1), P.Role("dia", 2),
                                          y),
          "unsupported direction SX(Rdia1,Rdia2,y)"),
-    ], ids=["copy across sorts", "I->box", "box->box", "dia->dia"])
+    ] + [(partial(P.RelationInclusionRule, P.Role.parse(lhs),
+                  P.Role.parse(rhs), pivot), message)
+         for lhs, rhs, pivot, message in INCLUSIONS],
+        ids=["copy across sorts", "I->box", "box->box", "dia->dia"]
+        + [f"{lhs}->{rhs} at {pivot}" for lhs, rhs, pivot, _ in INCLUSIONS])
     def test_an_unsupported_rule_cannot_be_built(self, make, message):
+        if message is None:   # a supported direction
+            assert make().triggers
+            return
         with pytest.raises(UnsupportedRuleError, match=re.escape(message)):
             make()
 
